@@ -2,7 +2,7 @@
 
 Every simulation result in the paper repro must be exactly reproducible
 from a seed: the experiment tables are regression-tested against pinned
-numbers, and set-sampled miss curves are only comparable across runs when
+numbers, and sampled miss curves are only comparable across runs when
 their RNG streams are.  Inside the simulation packages these rules flag
 the three classic leaks of ambient nondeterminism:
 

@@ -44,7 +44,6 @@ DOCS_SCOPE = (
     "repro.cachesim.fastsim",
     "repro.cachesim.fused",
     "repro.cachesim.mattson",
-    "repro.cachesim.setsample",
     "repro.cachesim.shards",
     "repro.search.cachectl",
     "repro.hw",

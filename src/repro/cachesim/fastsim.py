@@ -48,9 +48,9 @@ Three kernels:
        distance(i)  =  #{ j < i : prev[j] <= prev[i] }  -  prev[i]
 
    and the dominance count is computed for all accesses at once by an
-   iterative merge-sort counting pass (``log2(n)`` batched
-   ``searchsorted`` rounds) — the whole LRU miss curve from one pass,
-   with no per-capacity re-simulation.
+   iterative merge-sort counting pass (``log2(n)`` levels, each one
+   stable sort of a packed ``(value, position)`` int64 key) — the whole
+   LRU miss curve from one pass, with no per-capacity re-simulation.
 
 Kernel activity is tracked in module counters exposed through the
 :mod:`repro.obs` registry via :func:`record_metrics`; wall-time tracking
@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.indexing import set_indices
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.obs.metrics import MetricsRegistry
 
 #: Engine names accepted by every engine-parameterized entry point.
@@ -221,47 +221,71 @@ def record_metrics(
 # ----------------------------------------------------------------------
 
 
+def _position_bits(n: int) -> int:
+    """Width of the position field of the packed merge key for ``n`` entries.
+
+    The key is ``(value - min) << bits | position`` with ``bits =
+    ceil(log2(n))``.  :func:`_count_preceding_leq` keeps ``value - min``
+    (pad included) at most ``n + 1``, so every key is below ``(n + 2) <<
+    bits``.  That must fit in int64, which caps ``n`` at ``2**31``;
+    longer inputs raise :class:`~repro.errors.TraceError` instead of
+    wrapping.
+    """
+    bits = max(1, (n - 1).bit_length())
+    if (n + 2) << bits > 1 << 63:
+        raise TraceError(
+            f"{n} entries exceed the packed merge key (at most {1 << 31})"
+        )
+    return bits
+
+
 def _count_preceding_leq(values: np.ndarray) -> np.ndarray:
     """For each ``i``, count ``j < i`` with ``values[j] <= values[i]``.
 
     Vectorized offline equivalent of a Fenwick tree over the value domain:
-    an iterative bottom-up merge sort where, at each level, every
-    right-half element counts its left-half peers with one batched
-    ``searchsorted`` (blocks are disambiguated by adding per-block offsets
-    larger than the value range, so one call serves all blocks).  Each
-    ordered pair is counted exactly once — at the level where the two
-    positions first share a parent block.  O(n log^2 n) work, all in
-    NumPy.
+    an iterative bottom-up merge sort over one packed int64 key per entry,
+    ``(value - min) << bits | position``.  Positions are unique, so keys
+    order by ``(value, position)``, and a left-half peer sorts ahead of a
+    right-half element exactly when its value is ``<=``.  Each level
+    therefore merges with one stable sort of the key rows (two sorted
+    runs: a linear merge) and counts, for every right-half element, its
+    merged rank minus its rank among right-half peers.  Each ordered pair
+    is counted exactly once — at the level where the two positions first
+    share a parent block.  O(n log n) work, all in NumPy.
     """
     n = len(values)
-    counts_full = np.zeros(max(1, 1 << max(0, (n - 1).bit_length())), np.int64)
+    bits = _position_bits(n)
+    size = 1 << bits
+    counts = np.zeros(size, np.int64)
     if n < 2:
-        return counts_full[:n]
-    size = len(counts_full)
+        return counts[:n]
     low = int(values.min())
-    pad_value = int(values.max()) + 1
-    span = pad_value - low + 1  # strictly larger than the value range
-    v = np.full(size, pad_value, np.int64)
-    v[:n] = values
-    idx = np.arange(size, dtype=np.int64)
+    pad = int(values.max()) - low + 1
+    if pad > n + 1:
+        # Only the order of the values matters: rank them densely so the
+        # key width depends on n alone.
+        values = np.unique(values, return_inverse=True)[1].reshape(-1)
+        low = 0
+        pad = int(values.max()) + 1
+    keys = np.full(size, pad, np.int64)
+    keys[:n] = values
+    keys[:n] -= low
+    keys <<= bits
+    keys |= np.arange(size, dtype=np.int64)
+    position = size - 1
+    # Every row holds ``block`` right-half elements, so the k-th one in
+    # flat order has rank ``k % block`` among its row's right half.
+    right_rank = np.arange(size // 2, dtype=np.int64)
     block = 1
     while block < size:
-        nblocks = size // (2 * block)
-        pairs_v = v.reshape(nblocks, 2 * block)
-        pairs_i = idx.reshape(nblocks, 2 * block)
-        left = pairs_v[:, :block]  # sorted within each block (invariant)
-        right = pairs_v[:, block:]
-        offsets = np.arange(nblocks, dtype=np.int64) * span
-        flat_left = (left + offsets[:, None]).ravel()
-        flat_right = (right + offsets[:, None]).ravel()
-        pos = np.searchsorted(flat_left, flat_right, side="right")
-        pos -= np.repeat(np.arange(nblocks, dtype=np.int64) * block, block)
-        counts_full[pairs_i[:, block:].ravel()] += pos
-        order = np.argsort(pairs_v, axis=1, kind="stable")
-        v = np.take_along_axis(pairs_v, order, axis=1).ravel()
-        idx = np.take_along_axis(pairs_i, order, axis=1).ravel()
-        block *= 2
-    return counts_full
+        width = 2 * block
+        keys.reshape(-1, width).sort(axis=1, kind="stable")
+        at = np.flatnonzero(keys & block)
+        ahead = at & (width - 1)
+        ahead -= right_rank & (block - 1)
+        counts[keys[at] & position] += ahead
+        block = width
+    return counts
 
 
 def _previous_occurrence(lines: np.ndarray) -> np.ndarray:
@@ -282,14 +306,39 @@ def _previous_occurrence(lines: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _stack_distances(lines64: np.ndarray) -> np.ndarray:
-    """Stack-distance core without counter bookkeeping (internal)."""
+def _stack_distances(
+    lines64: np.ndarray,
+    removals: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Stack-distance core without counter bookkeeping (internal).
+
+    ``removals`` drops lines from the LRU stack mid-stream: position
+    arrays ``(after, last)``, sorted by ``after``, one entry per removed
+    line, which leaves the stack right after position ``after``, was last
+    accessed at ``last <= after`` and is never accessed again.  Distances
+    of later accesses then no longer count it (SHARDS reservoir
+    evictions).
+    """
     n = len(lines64)
     out = np.empty(n, np.int64)
     if n == 0:
         return out
     prev = _previous_occurrence(lines64)
-    counts = _count_preceding_leq(prev)[:n]
+    if removals is None:
+        counts = _count_preceding_leq(prev)[:n]
+    else:
+        # Each removal enters the count as a marker valued ``last`` right
+        # after ``after``.  Access i counts a passed marker iff the line
+        # was last touched at or before prev[i]; subtracting one per
+        # passed marker leaves minus one for each removed line that was
+        # touched inside the window (prev[i], i), as the distance needs.
+        after, last = removals
+        passed = np.searchsorted(after, np.arange(n), side="left")
+        slot = np.arange(n) + passed
+        values = np.empty(n + len(after), np.int64)
+        values[slot] = prev
+        values[after + np.arange(1, len(after) + 1)] = last
+        counts = _count_preceding_leq(values)[slot] - passed
     cold = prev < 0
     out[cold] = COLD
     out[~cold] = counts[~cold] - prev[~cold]
@@ -471,9 +520,10 @@ def fast_lru_hits_for_sets(
 ) -> np.ndarray:
     """Cold-start LRU hit mask with explicitly supplied set indices.
 
-    Used by set sampling, where the sampled sets are re-indexed densely
-    while every line keeps its original (non-modulo-contiguous) set
-    mapping.  Each line must always map to the same set.
+    Used by the set-sharded replay
+    (:func:`repro.cachesim.fused.sharded_lru_hits_for_sets`), where each
+    shard holds a subset of the sets.  Each line must always map to the
+    same set.
     """
     if ways <= 0:
         raise ConfigurationError(f"ways must be positive, got {ways}")

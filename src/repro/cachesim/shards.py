@@ -22,6 +22,17 @@ streaming and O(1)-memory:
   effective rate; memory is thereby bounded no matter how large the
   working set grows, at the cost of coarser estimates.
 
+Feeding is batched rather than per access.  Each batch's sampled
+sub-stream, prefixed by the tracked lines in recency order (the LRU
+stack carried over from earlier batches), goes through the vectorized
+Mattson kernel (:func:`repro.cachesim.fastsim._stack_distances`) in one
+call.  Reservoir evictions depend only on which lines arrive, not on
+distances, so they are located first; the threshold each one sets
+re-filters the accesses after it, and each evicted line leaves the
+kernel's stack at its eviction point.  The estimate is bit-identical to
+feeding one access at a time (the differential suite pins this against
+a per-access Fenwick oracle).
+
 Each scaled distance lands in a fixed log-spaced histogram with weight
 ``1 / R``; the resulting :class:`ShardsCurve` answers the same
 ``hit_rate(capacity_lines)`` questions as
@@ -37,10 +48,9 @@ curves and health to ``repro.cachesim.shards.*`` metrics, and
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
+from repro.cachesim import fastsim
 from repro.errors import ConfigurationError, TraceError
 
 #: Wrap mask for 64-bit hash arithmetic on Python ints.
@@ -97,39 +107,15 @@ def hash_unit(lines: np.ndarray, seed: int = 0) -> np.ndarray:
     return (v >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-class _SlotTree:
-    """Fenwick tree over sampled-access time slots, with compaction.
+def _accumulate(start: float, terms: np.ndarray) -> float:
+    """``start`` plus each of ``terms``, added one at a time in order.
 
-    Olken's structure restricted to the sampled sub-stream: each tracked
-    line flags the slot of its most recent access, and a reuse's sampled
-    stack distance is the count of flags after the line's previous slot.
-    Slots are consumed monotonically; when they run out the tree is
-    rebuilt over the surviving flags (at most the reservoir size), which
-    is what keeps memory bounded while the stream is unbounded.
+    ``np.add.accumulate`` is strictly sequential (``np.sum`` would sum
+    pairwise), so the result is bit-identical to a streaming ``+=`` loop.
     """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._tree = [0] * (capacity + 1)
-        self.flagged = 0
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        tree = self._tree
-        while i <= self.capacity:
-            tree[i] += delta
-            i += i & (-i)
-        self.flagged += delta
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of flags in ``[0, index]``."""
-        i = index + 1
-        total = 0
-        tree = self._tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
+    if len(terms) == 0:
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 class ShardsEstimator:
@@ -152,7 +138,8 @@ class ShardsEstimator:
     Feed accesses with :meth:`feed` (vectorized; accepts any int array
     of cache-line ids) or :meth:`observe`; read the running estimate
     with :meth:`curve` and health with :attr:`rate`,
-    :attr:`reservoir_lines`, :attr:`reservoir_evictions`.
+    :attr:`reservoir_lines`, :attr:`reservoir_evictions` and
+    :attr:`tracked_lines`.
     """
 
     def __init__(
@@ -180,18 +167,9 @@ class ShardsEstimator:
         self._sampled_accesses = 0
         self._cold_touches = 0
         self._evictions = 0
-        self._compactions = 0
-        #: line -> slot of its most recent sampled access; insertion
-        #: implies hash(line) < threshold at the time of first touch.
-        self._last_slot: dict[int, int] = {}
-        #: Max-heap (negated hash) over tracked lines, for evictions.
-        self._by_hash: list[tuple[float, int]] = []
-        if max_reservoir is not None:
-            capacity = max(1024, 4 * max_reservoir)
-        else:
-            capacity = 4096
-        self._slots = _SlotTree(capacity)
-        self._next_slot = 0
+        #: Tracked lines, least to most recently used: the sampled LRU
+        #: stack.  Every one has hash(line) < threshold.
+        self._lines = np.empty(0, np.int64)
 
     # -- health --------------------------------------------------------
 
@@ -213,7 +191,7 @@ class ShardsEstimator:
     @property
     def reservoir_lines(self) -> int:
         """Distinct lines currently tracked (bounded by ``max_reservoir``)."""
-        return len(self._last_slot)
+        return len(self._lines)
 
     @property
     def reservoir_evictions(self) -> int:
@@ -221,9 +199,9 @@ class ShardsEstimator:
         return self._evictions
 
     @property
-    def compactions(self) -> int:
-        """Slot-tree rebuilds (each is O(reservoir), amortized O(1)/access)."""
-        return self._compactions
+    def tracked_lines(self) -> np.ndarray:
+        """The tracked lines, least to most recently used (a copy)."""
+        return self._lines.copy()
 
     # -- feeding -------------------------------------------------------
 
@@ -234,11 +212,15 @@ class ShardsEstimator:
     def feed(self, lines: np.ndarray) -> None:
         """Feed a batch of cache-line ids in program order.
 
-        Unsampled accesses cost one vectorized hash compare; only the
-        sampled sub-stream (fraction ~``rate``) takes the per-access
-        Python path.  The threshold only ever decreases, so prefiltering
-        at the current threshold is sound even when adaptation fires
-        mid-batch (each sampled access is re-checked).
+        Unsampled accesses cost one vectorized hash compare.  The sampled
+        sub-stream goes through the vectorized Mattson kernel in one
+        call, prefixed by the tracked lines in recency order (the LRU
+        stack left by earlier batches).  Reservoir evictions inside the
+        batch only depend on which lines arrive, so they are found first;
+        the threshold then re-filters the accesses after each eviction,
+        and the kernel drops each evicted line from the stack at its
+        eviction point.  The estimate is bit-identical to feeding the
+        accesses one at a time.
         """
         lines = np.asarray(lines)
         if lines.ndim != 1:
@@ -247,73 +229,102 @@ class ShardsEstimator:
         if len(lines) == 0:
             return
         hashes = hash_unit(lines, seed=self.seed)
-        mask = hashes < self._threshold
-        if not mask.any():
+        sampled = hashes < self._threshold
+        if not sampled.any():
             return
-        for line, h in zip(
-            lines[mask].tolist(), hashes[mask].tolist()
-        ):
-            if h >= self._threshold:
-                continue  # adaptation fired earlier in this batch
-            self._observe_sampled(int(line), h)
+        lines = lines[sampled].astype(np.int64)
+        hashes = hashes[sampled]
+        cuts, thresholds = self._reservoir_cuts(lines, hashes)
+        # The threshold in force at each access: the one set by the last
+        # eviction before it.
+        rates = np.concatenate(([self._threshold], thresholds))[
+            np.searchsorted(cuts, np.arange(len(lines)), side="left")
+        ]
+        kept = np.flatnonzero(hashes < rates)
+        lines, rates = lines[kept], rates[kept]
+        prefix = len(self._lines)
+        stream = np.concatenate((self._lines, lines))
+        distinct, from_end = np.unique(stream[::-1], return_index=True)
+        last = len(stream) - 1 - from_end
+        removals = None
+        if len(cuts):
+            self._threshold = float(thresholds[-1])
+            line_hashes = hash_unit(distinct, seed=self.seed)
+            gone = line_hashes >= self._threshold
+            # Each evicted line leaves the stack right after the first
+            # touch whose overflow lowered the threshold to its hash.
+            evicted_by = np.searchsorted(-thresholds, -line_hashes[gone], side="left")
+            after = prefix + np.searchsorted(kept, cuts[evicted_by])
+            order = np.argsort(after, kind="stable")
+            removals = (after[order], last[gone][order])
+            last = last[~gone]
+        self._record(fastsim._stack_distances(stream, removals)[prefix:], rates)
+        self._lines = stream[np.sort(last)]
 
-    def _observe_sampled(self, line: int, line_hash: float) -> None:
-        self._sampled_accesses += 1
-        if self._next_slot >= self._slots.capacity:
-            self._compact()
-        slot = self._next_slot
-        self._next_slot += 1
-        prev = self._last_slot.get(line)
-        if prev is None:
-            self._cold_weight += 1.0 / self._threshold
-            self._cold_touches += 1
-            heapq.heappush(self._by_hash, (-line_hash, line))
-        else:
-            distance = self._slots.flagged - self._slots.prefix_sum(prev) + 1
-            self._record(distance)
-            self._slots.add(prev, -1)
-        self._slots.add(slot, 1)
-        self._last_slot[line] = slot
-        if (
-            self.max_reservoir is not None
-            and len(self._last_slot) > self.max_reservoir
-        ):
-            self._adapt()
+    def _reservoir_cuts(
+        self, lines: np.ndarray, hashes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Where the reservoir overflows in a sampled batch, and the
+        threshold each overflow leaves (both empty when unbounded).
 
-    def _record(self, sampled_distance: int) -> None:
+        Only first touches of lines not yet tracked grow the reservoir;
+        each overflow evicts the largest-hash line(s), and the threshold
+        drops to their hash.  Counts the evictions.
+        """
+        if self.max_reservoir is None:
+            return np.empty(0, np.int64), np.empty(0, np.float64)
+        distinct, first = np.unique(lines, return_index=True)
+        fresh = np.sort(first[~np.isin(distinct, self._lines)])
+        fresh_hashes = hashes[fresh]
+        pool = np.sort(hash_unit(self._lines, seed=self.seed))
+        threshold = self._threshold
+        cuts: list[int] = []
+        thresholds: list[float] = []
+        # The threshold only falls, so a first touch at or above it is
+        # out for good: scan forward in a window that grows only while
+        # it holds too few admissions to overflow.
+        start, window = 0, 64
+        while start < len(fresh):
+            room = self.max_reservoir - len(pool)
+            below = np.flatnonzero(fresh_hashes[start : start + window] < threshold)
+            if len(below) <= room:
+                if start + window >= len(fresh):
+                    break
+                window *= 4
+                continue
+            admitted = fresh_hashes[start + below[: room + 1]]
+            pool = np.sort(np.concatenate((pool, admitted)), kind="stable")
+            threshold = float(pool[-1])
+            survivors = int(np.searchsorted(pool, threshold, side="left"))
+            self._evictions += len(pool) - survivors
+            pool = pool[:survivors]
+            cuts.append(int(fresh[start + below[room]]))
+            thresholds.append(threshold)
+            start += int(below[room]) + 1
+            window = 64
+        return np.asarray(cuts, np.int64), np.asarray(thresholds, np.float64)
+
+    def _record(self, distances: np.ndarray, rates: np.ndarray) -> None:
+        """Add sampled accesses at their in-force rates to the histogram."""
+        cold = distances == fastsim.COLD
+        weights = 1.0 / rates
+        self._sampled_accesses += len(distances)
+        self._cold_touches += int(np.count_nonzero(cold))
+        self._cold_weight = _accumulate(self._cold_weight, weights[cold])
         # The reused line itself always appears in the sampled distance;
         # only the *other* distinct lines are thinned by the rate.  Scaling
         # the raw distance by 1/R would therefore bias every estimate up
         # by ~1/R lines — fatal near the resolution floor.
-        scaled = (sampled_distance - 1) / self._threshold + 1.0
-        index = int(np.searchsorted(self._edges, scaled, side="left"))
-        self._weights[index] += 1.0 / self._threshold
-
-    def _adapt(self) -> None:
-        """Evict the largest-hash line(s); the threshold drops to their hash."""
-        top_hash = -self._by_hash[0][0]
-        self._threshold = top_hash
-        while self._by_hash and -self._by_hash[0][0] >= self._threshold:
-            __, line = heapq.heappop(self._by_hash)
-            slot = self._last_slot.pop(line, None)
-            if slot is not None:
-                self._slots.add(slot, -1)
-                self._evictions += 1
-
-    def _compact(self) -> None:
-        """Rebuild the slot tree over the surviving flags only."""
-        self._compactions += 1
-        survivors = sorted(
-            self._last_slot.items(), key=lambda item: item[1]
-        )
-        capacity = self._slots.capacity
-        if self.max_reservoir is None and 2 * len(survivors) > capacity:
-            capacity *= 2  # unbounded mode: grow with the tracked set
-        self._slots = _SlotTree(capacity)
-        for new_slot, (line, __) in enumerate(survivors):
-            self._slots.add(new_slot, 1)
-            self._last_slot[line] = new_slot
-        self._next_slot = len(survivors)
+        scaled = (distances[~cold] - 1) / rates[~cold] + 1.0
+        buckets = np.searchsorted(self._edges, scaled, side="left")
+        reuse_weights = weights[~cold]
+        order = np.argsort(buckets, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(buckets[order])) + 1):
+            if len(group):
+                bucket = buckets[group[0]]
+                self._weights[bucket] = _accumulate(
+                    float(self._weights[bucket]), reuse_weights[group]
+                )
 
     # -- reading -------------------------------------------------------
 

@@ -36,6 +36,9 @@ class IndexShard:
     #: Simulated heap addresses of the metadata arrays (-1 if unplaced).
     doc_length_addr: int = -1
     static_rank_addr: int = -1
+    _local_index: dict[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.doc_ids) != len(self.doc_lengths):
@@ -51,8 +54,10 @@ class IndexShard:
         return sum(p.size_bytes for p in self.postings.values())
 
     def local_index_of(self) -> dict[int, int]:
-        """Map global doc id -> shard-local index."""
-        return {int(d): i for i, d in enumerate(self.doc_ids)}
+        """Map global doc id -> shard-local index (built once; do not mutate)."""
+        if self._local_index is None:
+            self._local_index = {int(d): i for i, d in enumerate(self.doc_ids)}
+        return self._local_index
 
 
 class InvertedIndexBuilder:

@@ -31,8 +31,7 @@ from repro.cachesim.fastsim import (
 from repro.cachesim.mattson import hit_rate_for_capacities, stack_distances
 from repro.cachesim.missclass import classify_misses
 from repro.cachesim.misscurve import MissRatioCurve
-from repro.cachesim.setsample import sampled_hit_rate
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 
 
 @st.composite
@@ -147,16 +146,6 @@ class TestRandomizedDifferential:
             lines, geometry, engine="reference"
         ) == classify_misses(lines, geometry, engine="fast")
 
-    @given(geometries(), line_streams, st.integers(0, 5))
-    def test_setsample_engines_agree(self, geometry, lines, seed):
-        a = sampled_hit_rate(
-            lines, geometry, sample_fraction=0.5, seed=seed, engine="reference"
-        )
-        b = sampled_hit_rate(
-            lines, geometry, sample_fraction=0.5, seed=seed, engine="fast"
-        )
-        assert a == b
-
     @given(line_streams)
     def test_mattson_capacity_rates_engines_agree(self, lines):
         capacities = [1, 2, 3, 8, 31, 400]
@@ -240,7 +229,7 @@ class TestAdversarialTraces:
         )
 
     def test_explicit_set_indices_variant(self):
-        """The setsample entry point: sets supplied by the caller."""
+        """The explicit-sets entry point (set-sharded replay)."""
         rng = np.random.default_rng(5)
         lines = rng.integers(0, 400, 2000).astype(np.int64)
         num_sets, ways = 13, 3
@@ -250,6 +239,102 @@ class TestAdversarialTraces:
             _reference_hits(geometry, lines),
             fast_lru_hits_for_sets(lines, sets, ways),
         )
+
+
+# ----------------------------------------------------------------------
+# The merge-count kernel under every distance
+# ----------------------------------------------------------------------
+
+
+def _brute_preceding_leq(values):
+    return [
+        sum(1 for j in range(i) if values[j] <= values[i])
+        for i in range(len(values))
+    ]
+
+
+@st.composite
+def prev_like_values(draw):
+    """Previous-occurrence-shaped arrays: heavy ties on the -1 sentinel."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 6, 7, 9, 31, 33, 100, 257]))
+    return draw(
+        st.lists(
+            st.one_of(st.just(-1), st.integers(-1, max(n, 1))),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+def _brute_removal_distances(lines, removals):
+    """Stack distances where ``line`` leaves the stack after ``after``."""
+    gone_after = {line: after for after, line in removals}
+    out = []
+    for i, line in enumerate(lines):
+        p = max((j for j in range(i) if lines[j] == line), default=None)
+        if p is None:
+            out.append(fastsim.COLD)
+            continue
+        window = {
+            lines[j]
+            for j in range(p + 1, i)
+            if gone_after.get(lines[j], i) >= i
+        }
+        out.append(len(window) + 1)
+    return out
+
+
+class TestMergeCount:
+    @given(prev_like_values())
+    def test_matches_brute_force(self, values):
+        array = np.asarray(values, np.int64)
+        got = fastsim._count_preceding_leq(array)[: len(values)]
+        assert got.tolist() == _brute_preceding_leq(values)
+
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=70))
+    def test_wide_values_are_ranked_first(self, values):
+        array = np.asarray(values, np.int64)
+        got = fastsim._count_preceding_leq(array)[: len(values)]
+        assert got.tolist() == _brute_preceding_leq(values)
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=80), st.data())
+    def test_removals_drop_lines_from_later_windows(self, values, data):
+        lines = np.asarray(values, np.int64)
+        last = {line: i for i, line in enumerate(values)}
+        removed = data.draw(
+            st.lists(st.sampled_from(sorted(last)), unique=True, max_size=4)
+        )
+        # Each removed line leaves at or after its last access.
+        pairs = sorted(
+            (data.draw(st.integers(last[line], len(values) - 1)), line)
+            for line in removed
+        )
+        after = np.asarray([a for a, __ in pairs], np.int64)
+        lasts = np.asarray([last[line] for __, line in pairs], np.int64)
+        got = fastsim._stack_distances(lines, (after, lasts))
+        assert got.tolist() == _brute_removal_distances(values, pairs)
+        no_op = fastsim._stack_distances(
+            lines, (np.empty(0, np.int64), np.empty(0, np.int64))
+        )
+        assert np.array_equal(no_op, fast_stack_distances(lines))
+
+    @given(st.integers(0, 1 << 31))
+    def test_key_width_bound_is_a_function_of_n(self, n):
+        bits = fastsim._position_bits(n)
+        assert bits == max(1, (n - 1).bit_length())
+        assert (n + 2) << bits <= 1 << 63  # largest key + 1 fits in int64
+
+    def test_key_width_guard_raises_typed_error(self):
+        assert fastsim._position_bits(1 << 31) == 31
+        with pytest.raises(TraceError):
+            fastsim._position_bits((1 << 31) + 1)
+
+        class Huge:
+            def __len__(self):
+                return (1 << 31) + 1
+
+        with pytest.raises(TraceError):
+            fastsim._count_preceding_leq(Huge())
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Tests for replacement policies and set-sampling estimation."""
+"""Tests for the reference cache's replacement policies."""
 
 import numpy as np
 import pytest
 
 from repro._units import KiB
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
-from repro.cachesim.setsample import SampledEstimate, sampled_hit_rate
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError
 
 
 def zipf_lines(n=30_000, pool=4000, seed=0):
@@ -56,164 +55,3 @@ class TestReplacementPolicies:
         lru = SetAssociativeCache(geometry, "lru").simulate(lines).mean()
         rand = SetAssociativeCache(geometry, "random").simulate(lines).mean()
         assert lru - 0.15 < rand <= lru + 0.02
-
-
-class TestSetSampling:
-    def mild_lines(self, n=60_000, pool=50_000, seed=0):
-        """A mildly-skewed stream: the regime set sampling is meant for.
-
-        (Heavily Zipfian streams concentrate on few sets and blow up the
-        estimator's variance — documented in the module.)
-        """
-        rng = np.random.default_rng(seed)
-        return (rng.zipf(1.05, n) % pool).astype(np.int64)
-
-    def test_estimate_close_to_exact_uniform(self):
-        """Uniform traffic spreads evenly over sets: low sampling variance."""
-        rng = np.random.default_rng(0)
-        lines = rng.integers(0, 3000, 60_000).astype(np.int64)
-        geometry = CacheGeometry(64 * KiB, 8)
-        exact = SetAssociativeCache(geometry).simulate(lines).mean()
-        estimate = sampled_hit_rate(lines, geometry, sample_fraction=1 / 4)
-        assert estimate.hit_rate == pytest.approx(exact, abs=0.03)
-
-    def test_skewed_stream_unbiased_over_seeds(self):
-        """Skew inflates variance, not bias: seed-averaged estimates land."""
-        lines = self.mild_lines(seed=3)
-        geometry = CacheGeometry(64 * KiB, 8)
-        exact = SetAssociativeCache(geometry).simulate(lines).mean()
-        rates = [
-            sampled_hit_rate(lines, geometry, 1 / 4, seed=s).hit_rate
-            for s in range(8)
-        ]
-        assert np.mean(rates) == pytest.approx(exact, abs=0.05)
-
-    def test_sample_metadata(self):
-        lines = zipf_lines(5000)
-        geometry = CacheGeometry(64 * KiB, 8)  # 128 sets
-        estimate = sampled_hit_rate(lines, geometry, sample_fraction=1 / 4)
-        assert estimate.sampled_sets == 32
-        assert estimate.sample_fraction == pytest.approx(0.25)
-        assert 0 < estimate.sampled_accesses < len(lines)
-
-    def test_full_sample_equals_exact(self):
-        lines = zipf_lines(8000, pool=500)
-        geometry = CacheGeometry(8 * KiB, 4)
-        exact = SetAssociativeCache(geometry).simulate(lines).mean()
-        estimate = sampled_hit_rate(lines, geometry, sample_fraction=1.0)
-        assert estimate.hit_rate == pytest.approx(exact, abs=1e-12)
-
-    def test_fraction_rounds_half_up(self):
-        """Regression: 48 sets * 1/3 truncated to 15 sampled sets, not 16."""
-        geometry = CacheGeometry(12 * KiB, 4)  # 48 sets
-        estimate = sampled_hit_rate(
-            zipf_lines(5000), geometry, sample_fraction=1 / 3
-        )
-        assert estimate.sampled_sets == 16
-
-    def test_near_full_fraction_samples_every_set(self):
-        geometry = CacheGeometry(8 * KiB, 4)
-        estimate = sampled_hit_rate(
-            zipf_lines(2000), geometry, sample_fraction=0.999
-        )
-        assert estimate.sampled_sets == geometry.num_sets
-
-    def test_full_sample_reproduces_exact_hit_count(self):
-        """sample_fraction=1.0 is not an estimate: same hits, same accesses."""
-        lines = zipf_lines(8000, pool=500)
-        geometry = CacheGeometry(8 * KiB, 4)
-        exact_hits = int(SetAssociativeCache(geometry).simulate(lines).sum())
-        estimate = sampled_hit_rate(lines, geometry, sample_fraction=1.0)
-        assert estimate.sampled_sets == geometry.num_sets
-        assert estimate.sampled_accesses == len(lines)
-        assert estimate.sampled_hits == exact_hits
-
-    def test_validation(self):
-        geometry = CacheGeometry(8 * KiB, 4)
-        with pytest.raises(ConfigurationError):
-            sampled_hit_rate(zipf_lines(100), geometry, sample_fraction=0)
-        with pytest.raises(TraceError):
-            sampled_hit_rate(np.empty(0, np.int64), geometry)
-        with pytest.raises(ConfigurationError):
-            sampled_hit_rate(zipf_lines(100), geometry, replacement="random")
-
-
-class TestSampledBranches:
-    """Branches the differential work exposed as untested."""
-
-    def test_zero_sampled_accesses_hit_rate_raises(self):
-        from repro.cachesim.setsample import SampledEstimate
-
-        estimate = SampledEstimate(
-            sampled_sets=1, total_sets=64, sampled_accesses=0, sampled_hits=0
-        )
-        with pytest.raises(TraceError):
-            estimate.hit_rate
-
-    def test_sample_can_catch_no_accesses(self):
-        """Idle-set draws are retried; a hand-built empty estimate raises."""
-        geometry = CacheGeometry(8 * KiB, 4)  # 32 sets
-        lines = np.zeros(50, np.int64)  # all traffic in set 0
-        # Direct construction still reports the undefined estimate loudly.
-        with pytest.raises(TraceError):
-            SampledEstimate(1, 32, 0, 0).hit_rate
-        # With redraws disabled, some seed draws only the idle sets and
-        # the empty sample surfaces as a TraceError from the draw itself.
-        for seed in range(20):
-            try:
-                estimate = sampled_hit_rate(
-                    lines,
-                    geometry,
-                    sample_fraction=1 / 32,
-                    seed=seed,
-                    max_redraws=0,
-                )
-            except TraceError:
-                break
-            assert estimate.sampled_accesses > 0
-        else:
-            pytest.fail("no seed sampled an idle set")
-        # The deterministic redraw rescues that same seed: incremented
-        # seeds eventually draw the busy set, and the estimate is exact.
-        rescued = sampled_hit_rate(
-            lines, geometry, sample_fraction=1 / 32, seed=seed, max_redraws=200
-        )
-        assert rescued.sampled_accesses == 50
-        assert rescued.redraws > 0
-        assert rescued.hit_rate == pytest.approx(49 / 50)
-
-    def test_redraw_validation(self):
-        geometry = CacheGeometry(8 * KiB, 4)
-        with pytest.raises(ConfigurationError):
-            sampled_hit_rate(
-                np.zeros(5, np.int64), geometry, max_redraws=-1
-            )
-
-    def test_fifo_sampling_full_matches_exact(self):
-        lines = zipf_lines(5000, pool=600)
-        geometry = CacheGeometry(8 * KiB, 4)
-        exact = (
-            SetAssociativeCache(geometry, replacement="fifo")
-            .simulate(lines)
-            .mean()
-        )
-        estimate = sampled_hit_rate(
-            lines, geometry, sample_fraction=1.0, replacement="fifo"
-        )
-        assert estimate.hit_rate == pytest.approx(exact, abs=1e-12)
-
-    def test_fast_engine_rejects_fifo(self):
-        geometry = CacheGeometry(8 * KiB, 4)
-        with pytest.raises(ConfigurationError):
-            sampled_hit_rate(
-                zipf_lines(100), geometry, replacement="fifo", engine="fast"
-            )
-
-    def test_auto_engine_falls_back_for_fifo(self):
-        lines = zipf_lines(3000, pool=500)
-        geometry = CacheGeometry(8 * KiB, 4)
-        auto = sampled_hit_rate(lines, geometry, replacement="fifo", engine="auto")
-        ref = sampled_hit_rate(
-            lines, geometry, replacement="fifo", engine="reference"
-        )
-        assert auto == ref

@@ -90,7 +90,7 @@ class TestConditionalInclusion:
         high = ShardsEstimator(rate=high_rate, seed=5)
         low.feed(lines)
         high.feed(lines)
-        assert set(low._last_slot) <= set(high._last_slot)
+        assert set(low.tracked_lines.tolist()) <= set(high.tracked_lines.tolist())
 
     def test_scaled_distances_shrink_reservoir_not_mass(self):
         lines = zipf_lines(20_000, pool=2000)

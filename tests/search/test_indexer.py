@@ -59,6 +59,12 @@ class TestBuilder:
         for local, doc_id in enumerate(shard.doc_ids[:20].tolist()):
             assert shard.doc_lengths[local] == corpus[doc_id].length
 
+    def test_local_index_built_once(self, corpus):
+        for shard in build(corpus, num_shards=3):
+            index = shard.local_index_of()
+            assert index == {int(d): i for i, d in enumerate(shard.doc_ids)}
+            assert shard.local_index_of() is index
+
     def test_empty_builder_rejected(self):
         with pytest.raises(ConfigurationError):
             InvertedIndexBuilder().build()
