@@ -63,7 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cachesim.cache import CacheGeometry
-from repro.cachesim.indexing import set_indices
+from repro.cachesim.indexing import set_indices, stable_group_order
 from repro.errors import ConfigurationError, TraceError
 from repro.obs.metrics import MetricsRegistry
 
@@ -291,8 +291,7 @@ def _count_preceding_leq(values: np.ndarray) -> np.ndarray:
 def _previous_occurrence(lines: np.ndarray) -> np.ndarray:
     """Index of each access's previous same-line access (``-1`` if cold)."""
     n = len(lines)
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
+    order, sorted_lines = stable_group_order(lines)
     prev_sorted = np.full(n, -1, np.int64)
     same = sorted_lines[1:] == sorted_lines[:-1]
     prev_sorted[1:][same] = order[:-1][same]
@@ -416,7 +415,7 @@ def _hits_for_set_stream(
     Every line must map to a single set (the caller derives ``sets`` from
     the lines), so the per-set subsequences are independent streams.
     """
-    order = np.argsort(sets, kind="stable")
+    order, g_sets = stable_group_order(sets)
     grouped = stream[order]
     hits = np.empty(len(stream), bool)
     if ways > CASCADE_MAX_WAYS:
@@ -426,7 +425,6 @@ def _hits_for_set_stream(
         distances = _stack_distances(grouped)
         hits[order] = (distances != COLD) & (distances <= ways)
         return hits
-    g_sets = sets[order]
     g_first = np.empty(len(stream), bool)
     g_first[0] = True
     g_first[1:] = g_sets[1:] != g_sets[:-1]
@@ -502,8 +500,7 @@ def fast_lru_hits_ladder(
             order = None
             distances = _stack_distances(lines64)
         else:
-            sets = set_indices(lines64, num_sets)
-            order = np.argsort(sets, kind="stable")
+            order, _ = stable_group_order(set_indices(lines64, num_sets))
             distances = _stack_distances(lines64[order])
         for k, ways in enumerate(ways_list):
             mask = (distances != COLD) & (distances <= ways)
@@ -552,8 +549,7 @@ def _final_lru_state(
     set, the last ``ways`` distinct lines by final access position.
     """
     n = len(stream)
-    order = np.argsort(stream, kind="stable")
-    sorted_lines = stream[order]
+    order, sorted_lines = stable_group_order(stream)
     last_of_group = np.empty(n, bool)
     last_of_group[-1] = True
     last_of_group[:-1] = sorted_lines[1:] != sorted_lines[:-1]
@@ -731,8 +727,9 @@ def fast_direct_mapped_hits(
     Keeps a dense tag array across chunks; within a chunk, a stable sort
     by set turns "previous access to my set" into "previous element of my
     group", the first access of each set gathers the carried-over tag,
-    and each set's last line scatters back.  Passing ``tags`` lets a
-    caller thread cache state across calls (it is mutated in place).
+    and each set's last line scatters back.  Passing ``tags`` (an int64
+    array, one entry per set) lets a caller thread cache state across
+    calls (it is mutated in place).
     """
     if num_sets <= 0:
         raise ConfigurationError(f"num_sets must be positive, got {num_sets}")
@@ -743,6 +740,9 @@ def fast_direct_mapped_hits(
         return np.empty(0, bool)
     if tags is None:
         tags = np.full(num_sets, EMPTY, np.int64)
+    elif tags.dtype != np.int64:
+        # A narrower array would silently truncate the stored line ids.
+        raise ConfigurationError(f"tags array must be int64, got {tags.dtype}")
     elif len(tags) != num_sets:
         raise ConfigurationError(
             f"tags array has {len(tags)} entries for {num_sets} sets"
@@ -753,8 +753,7 @@ def fast_direct_mapped_hits(
         for start in range(0, n, chunk):
             part = lines64[start : start + chunk]
             sets = set_indices(part, num_sets)
-            order = np.argsort(sets, kind="stable")
-            g_sets = sets[order]
+            order, g_sets = stable_group_order(sets)
             g_lines = part[order]
             m = len(part)
             first = np.empty(m, bool)

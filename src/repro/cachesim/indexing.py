@@ -14,6 +14,10 @@ They used to be re-derived at each call site (``block_size.bit_length()
 - 1`` in four modules, bare ``% num_sets`` in three), which is exactly how
 an engine pair drifts apart one off-by-one at a time.  This module is the
 single implementation; the differential suite pins both engines to it.
+
+The offline simulators also share one grouping step: a stable sort that
+gathers each line's (or each set's) accesses together in program order.
+:func:`stable_group_order` is that sort for every kernel.
 """
 
 from __future__ import annotations
@@ -79,3 +83,56 @@ def shard_of_sets(sets: np.ndarray, shards: int) -> np.ndarray:
     if shards <= 0:
         raise ConfigurationError(f"shards must be positive, got {shards}")
     return (np.asarray(sets, np.int64) % shards).astype(np.int64)
+
+
+def _packed_key_bits(n: int, span: int) -> int | None:
+    """Position-field width of the packed grouping key, or ``None``.
+
+    The key is ``(key - min) << bits | position`` with ``bits =
+    ceil(log2(n))``; it fits in a non-negative int64 iff ``span = max -
+    min`` is below ``2**(63 - bits)``.
+    """
+    bits = (n - 1).bit_length()
+    if span >> (63 - bits):
+        return None
+    return bits
+
+
+def stable_group_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of ``keys``: ``(order, keys[order])``.
+
+    ``order`` equals ``np.argsort(keys, kind="stable")`` exactly (as
+    int64) and the sorted keys keep the input dtype, so each group of
+    equal keys lists its positions in program order.  Integer keys whose
+    span fits are packed as ``(key - min) << bits | position`` into one
+    int64 and value-sorted in place: positions are unique, so the value
+    order is the stable order, and a SIMD value sort runs several times
+    faster than NumPy's indirect stable sort.  Other keys (non-integer
+    dtypes, or spans too wide for ``63 - bits`` bits) take the stable
+    argsort.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    if n == 0:
+        return np.empty(0, np.int64), keys.copy()
+    bits = None
+    if keys.dtype.kind in "iu":
+        low = int(keys.min())
+        bits = _packed_key_bits(n, int(keys.max()) - low)
+    if bits is None:
+        order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
+        return order, keys[order]
+    # Offsets from the minimum: exact in uint64 for unsigned keys and in
+    # (wrapping) int64 for signed ones; either way below 2**63.
+    wide = np.uint64 if keys.dtype.kind == "u" else np.int64
+    packed = keys.astype(wide)
+    packed -= wide(low)
+    packed = packed.view(np.int64)
+    packed <<= bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    packed = packed.view(wide)
+    packed += wide(low)
+    return order, packed.astype(keys.dtype, copy=False)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cachesim.indexing import stable_group_order
 from repro.errors import TraceError
 
 
@@ -51,8 +52,7 @@ class MissRatioCurve:
 
         # Group each line's accesses (stable sort keeps program order within
         # a group): adjacent entries of a group are consecutive touches.
-        order = np.argsort(lines, kind="stable").astype(np.int64)
-        self._init_from_order(n, order, lines[order])
+        self._init_from_order(n, *stable_group_order(lines))
 
     def _init_from_order(
         self, n: int, order: np.ndarray, sorted_lines: np.ndarray
@@ -68,37 +68,37 @@ class MissRatioCurve:
         self._n = n
         self._order = order
         self._sorted_lines = sorted_lines
-        positions = order + 1  # 1-based
 
-        first_of_group = np.empty(n, bool)
-        first_of_group[0] = True
-        first_of_group[1:] = sorted_lines[1:] != sorted_lines[:-1]
-        last_of_group = np.empty(n, bool)
-        last_of_group[-1] = True
-        last_of_group[:-1] = first_of_group[1:]
+        # Sort indices where each line's group starts (the first group's
+        # start, 0, left out) and where each group ends.
+        starts = np.flatnonzero(sorted_lines[1:] != sorted_lines[:-1]) + 1
+        ends = np.append(starts - 1, n - 1)
+        self._m = len(starts) + 1
 
-        reuse_sorted = np.zeros(n, np.int64)
-        reuse_sorted[1:] = positions[1:] - positions[:-1]
-        reuse_sorted[first_of_group] = 0
-
-        self._reuse = np.empty(n, np.int64)
-        self._reuse[order] = reuse_sorted
-        self._is_cold = np.empty(n, bool)
-        self._is_cold[order] = first_of_group
-        self._m = int(np.count_nonzero(first_of_group))
-
-        # Gap multiset: reuse gaps contribute max(0, r - w); front gaps
-        # (length f-1) contribute max(0, f - w); back gaps (length n-l)
-        # contribute max(0, (n - l + 1) - w).
-        front = positions[first_of_group]
-        back = self._n - positions[last_of_group] + 1
-        gaps = np.concatenate((reuse_sorted[~first_of_group], front, back))
-        self._gaps_sorted = np.sort(gaps)
-        suffix = np.zeros(len(gaps) + 1, np.float64)
+        # Gap multiset over 1-based positions: reuse gaps contribute
+        # max(0, r - w); a first touch at f contributes max(0, f - w)
+        # (front gap f-1); a last touch at l contributes
+        # max(0, (n - l + 1) - w) (back gap n-l).  ``gap`` holds each
+        # access's reuse time, or f at a first touch.
+        gap = np.empty(n, np.int64)
+        gap[0] = order[0] + 1
+        np.subtract(order[1:], order[:-1], out=gap[1:])
+        gap[starts] = order[starts] + 1
+        back = n - order[ends]
+        self._gaps_sorted = np.sort(np.concatenate((gap, back)))
+        suffix = np.zeros(n + self._m + 1, np.float64)
         suffix[:-1] = np.cumsum(self._gaps_sorted[::-1])[::-1]
         self._gap_suffix_sum = suffix
 
-        self._reuse_sorted_nonzero = np.sort(self._reuse[self._reuse > 0])
+        # Re-references have reuse >= 1, so ``_reuse == 0`` marks the
+        # cold (first-touch) accesses.
+        gap[0] = 0
+        gap[starts] = 0
+        self._reuse = np.empty(n, np.int64)
+        self._reuse[order] = gap
+        gap.sort()
+        # A copy, so the m cold zeros' memory is not kept alive.
+        self._reuse_sorted_nonzero = gap[self._m :].copy()
 
     def filtered(self, mask: np.ndarray) -> "MissRatioCurve":
         """Curve of the subsequence ``lines[mask]`` without a new argsort.
@@ -273,7 +273,7 @@ class MissRatioCurve:
         and converts it to each stream's own access count; this applies such
         a window directly.
         """
-        return (~self._is_cold) & (self._reuse <= window)
+        return (self._reuse > 0) & (self._reuse <= window)
 
     def hit_rate_for_window(self, window: float) -> float:
         """Hit rate given an own-stream reuse window."""

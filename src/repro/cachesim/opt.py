@@ -18,6 +18,7 @@ import heapq
 
 import numpy as np
 
+from repro.cachesim.indexing import stable_group_order
 from repro.errors import TraceError
 
 #: Next-use index assigned to an access whose line never recurs.
@@ -34,11 +35,9 @@ def next_use_indices(lines: np.ndarray) -> np.ndarray:
     out = np.full(n, NEVER, np.int64)
     if n == 0:
         return out
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    positions = order.astype(np.int64)
+    order, sorted_lines = stable_group_order(lines)
     same_as_next = sorted_lines[:-1] == sorted_lines[1:]
-    out[positions[:-1][same_as_next]] = positions[1:][same_as_next]
+    out[order[:-1][same_as_next]] = order[1:][same_as_next]
     return out
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cachesim import fastsim
+from repro.cachesim.indexing import stable_group_order
 from repro.errors import ConfigurationError, TraceError
 
 #: Wrap mask for 64-bit hash arithmetic on Python ints.
@@ -255,8 +256,8 @@ class ShardsEstimator:
             # touch whose overflow lowered the threshold to its hash.
             evicted_by = np.searchsorted(-thresholds, -line_hashes[gone], side="left")
             after = prefix + np.searchsorted(kept, cuts[evicted_by])
-            order = np.argsort(after, kind="stable")
-            removals = (after[order], last[gone][order])
+            order, sorted_after = stable_group_order(after)
+            removals = (sorted_after, last[gone][order])
             last = last[~gone]
         self._record(fastsim._stack_distances(stream, removals)[prefix:], rates)
         self._lines = stream[np.sort(last)]
@@ -318,8 +319,8 @@ class ShardsEstimator:
         scaled = (distances[~cold] - 1) / rates[~cold] + 1.0
         buckets = np.searchsorted(self._edges, scaled, side="left")
         reuse_weights = weights[~cold]
-        order = np.argsort(buckets, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(buckets[order])) + 1):
+        order, sorted_buckets = stable_group_order(buckets)
+        for group in np.split(order, np.flatnonzero(np.diff(sorted_buckets)) + 1):
             if len(group):
                 bucket = buckets[group[0]]
                 self._weights[bucket] = _accumulate(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cachesim.indexing import stable_group_order
 from repro.errors import ConfigurationError
 from repro.memtrace.sampling import ZipfSampler
 
@@ -136,8 +137,7 @@ def generate_branch_stream(
         )
         loop_idx = np.flatnonzero(is_loop_occ)
         loop_pcs = pcs[loop_idx]
-        order = np.argsort(loop_pcs, kind="stable")
-        sorted_pcs = loop_pcs[order]
+        order, sorted_pcs = stable_group_order(loop_pcs)
         # Occurrence index of each dynamic instance within its static branch.
         new_group = np.empty(len(sorted_pcs), bool)
         new_group[0] = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._units import KiB
+from repro.cachesim.indexing import stable_group_order
 from repro.errors import TraceError
 from repro.memtrace.trace import Segment, Trace
 from repro.obs.metrics import MetricsRegistry
@@ -64,16 +65,14 @@ def reuse_times(line_addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(line_addrs)
     if n == 0:
         return np.empty(0, np.int64), np.empty(0, bool)
-    order = np.argsort(line_addrs, kind="stable")
-    sorted_lines = line_addrs[order]
-    positions = order.astype(np.int64)
+    order, sorted_lines = stable_group_order(line_addrs)
 
     same_as_prev = np.empty(n, bool)
     same_as_prev[0] = False
     same_as_prev[1:] = sorted_lines[1:] == sorted_lines[:-1]
 
     reuse_sorted = np.zeros(n, np.int64)
-    reuse_sorted[1:] = positions[1:] - positions[:-1]
+    reuse_sorted[1:] = order[1:] - order[:-1]
     reuse_sorted[~same_as_prev] = 0
 
     reuse = np.empty(n, np.int64)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.cachesim.directmapped import direct_mapped_hit_rate, simulate_direct_mapped
+from repro.cachesim.fastsim import fast_direct_mapped_hits
 from repro.errors import ConfigurationError
 
 
@@ -57,3 +58,25 @@ class TestDirectMapped:
         large = simulate_direct_mapped(lines, 1 << 16).mean()
         assert large > small
         assert large > 0.5
+
+
+class TestCarriedTags:
+    """``fast_direct_mapped_hits`` threading cache state through ``tags``."""
+
+    LINES = np.array([5 + 2**34, 5], np.int64)
+
+    def test_int64_tags_across_calls_match_one_pass(self):
+        tags = np.full(16, -1, np.int64)
+        first = fast_direct_mapped_hits(self.LINES[:1], 16, tags=tags)
+        second = fast_direct_mapped_hits(self.LINES[1:], 16, tags=tags)
+        whole = simulate_direct_mapped(self.LINES, 16)
+        assert list(np.concatenate((first, second))) == list(whole)
+        assert list(whole) == [False, False]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64, np.float64])
+    def test_rejects_non_int64_tags(self, dtype):
+        """Line 5 + 2**34 stored in int32 tags would read back as line 5
+        and turn the later access to line 5 into a false hit."""
+        tags = np.full(16, 0, dtype)
+        with pytest.raises(ConfigurationError):
+            fast_direct_mapped_hits(self.LINES, 16, tags=tags)
