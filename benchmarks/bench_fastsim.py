@@ -1,11 +1,13 @@
-"""Benchmarks for the vectorized cache-simulation engine.
+"""Benchmarks for the vectorized cache-simulation kernels.
 
 ``test_fig7_replay_speedup`` is the headline pair: the fig7 associativity
 panel's exact trace replay (base + fully-associative hierarchies) run
-under ``engine="reference"`` and ``engine="fast"``, with a hard >=10x
-floor on the speedup (measured ~23x).  The outputs must also agree —
-the differential suite proves bit-identity; this just guards against a
-benchmark that silently measures two different computations.
+through the per-access loop (``hierarchy._simulate_exact``) and through
+:func:`~repro.cachesim.hierarchy.simulate_hierarchy`'s vectorized
+level-by-level replay, with a hard >=10x floor on the speedup (measured
+~23x).  The outputs must also agree — the differential suite proves
+bit-identity; this just guards against a benchmark that silently
+measures two different computations.
 
 The remaining benchmarks time the individual kernels under normal
 pytest-benchmark repetition, like ``bench_substrates.py``.
@@ -17,12 +19,13 @@ from dataclasses import replace
 import numpy as np
 
 from repro.cachesim.cache import CacheGeometry
-from repro.cachesim.fastsim import (
-    fast_direct_mapped_hits,
-    fast_lru_hits,
-    fast_stack_distances,
+from repro.cachesim.directmapped import simulate_direct_mapped
+from repro.cachesim.fastsim import fast_lru_hits, fast_stack_distances
+from repro.cachesim.hierarchy import (
+    HierarchyConfig,
+    _simulate_exact,
+    simulate_hierarchy,
 )
-from repro.cachesim.hierarchy import HierarchyConfig, simulate_hierarchy
 from repro.memtrace.synthetic import generate_trace
 from repro.workloads.profiles import get_profile
 
@@ -53,17 +56,13 @@ def _fully(level):
     )
 
 
-def _replay_pair(trace, configs, engine):
-    t0 = time.perf_counter()
-    results = [simulate_hierarchy(trace, c, engine=engine) for c in configs]
-    return time.perf_counter() - t0, results
-
-
 def test_fig7_replay_speedup(preset, run_once, benchmark):
     trace, configs = _fig7_workload(preset)
-    ref_seconds, reference = _replay_pair(trace, configs, "reference")
     t0 = time.perf_counter()
-    fast = run_once(lambda: _replay_pair(trace, configs, "fast")[1])
+    reference = [_simulate_exact(trace, c, {}) for c in configs]
+    ref_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    fast = run_once(lambda: [simulate_hierarchy(trace, c) for c in configs])
     fast_seconds = time.perf_counter() - t0
 
     for ref_result, fast_result in zip(reference, fast):
@@ -93,7 +92,7 @@ def test_lru_kernel(benchmark):
 
 def test_direct_mapped_kernel(benchmark):
     lines = _synthetic_lines()
-    hits = benchmark(fast_direct_mapped_hits, lines, 32_768)
+    hits = benchmark(simulate_direct_mapped, lines, 32_768)
     assert hits.shape == lines.shape
 
 

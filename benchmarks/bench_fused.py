@@ -2,19 +2,19 @@
 
 ``test_campaign_sweep_speedup`` is the headline: a fig6/fig7-style
 campaign — a full associativity ladder plus an L3 capacity ladder over
-one trace — run point by point under ``engine="fast"`` and then through
+one trace — run point by point through
+:func:`~repro.cachesim.hierarchy.simulate_hierarchy` and then through
 :func:`repro.cachesim.fused.simulate_hierarchy_sweep`, with a hard >=10x
 floor on the speedup (measured ~12x).  The per-point baseline is already
-the vectorized engine, so the floor measures fusion alone: shared
-upstream passes and one-pass Mattson ladders, not vectorization.
+vectorized, so the floor measures fusion alone: shared upstream passes
+and one-pass Mattson ladders, not vectorization.
 
 Run as a script for machine-readable numbers::
 
     python benchmarks/bench_fused.py --json fused-bench.json [--tiny]
 
 The JSON carries the campaign wall times, a per-stage breakdown of the
-fused pass, and the composed-module end-to-end build/sweep times that
-feed the EXPERIMENTS.md timing table.
+fused pass, and the composed-module end-to-end build and L3-sweep times.
 """
 
 import argparse
@@ -22,7 +22,7 @@ import json
 import time
 
 from repro._units import MiB
-from repro.cachesim import fused
+from repro.cachesim import hierarchy
 from repro.cachesim.composed import ComposedHierarchy
 from repro.cachesim.fastsim import fast_lru_hits_ladder
 from repro.cachesim.fused import sharded_lru_hits, simulate_hierarchy_sweep
@@ -69,12 +69,10 @@ def test_campaign_sweep_speedup(preset, run_once, benchmark):
     # reports the full campaign at ~11-12x; this shape measures ~13x).
     trace, configs = _campaign(preset, capacity_mib=(16, 64, 256))
     per_point_seconds, per_point = _timed(
-        lambda: [simulate_hierarchy(trace, c, engine="fast") for c in configs]
+        lambda: [simulate_hierarchy(trace, c) for c in configs]
     )
     t0 = time.perf_counter()
-    fused_results = run_once(
-        lambda: simulate_hierarchy_sweep(trace, configs, engine="fast")
-    )
+    fused_results = run_once(lambda: simulate_hierarchy_sweep(trace, configs))
     fused_seconds = time.perf_counter() - t0
 
     for a, b in zip(fused_results, per_point):
@@ -95,7 +93,7 @@ def test_campaign_sweep_speedup(preset, run_once, benchmark):
 def _stage_breakdown(trace, configs):
     """Time the fused pass stage by stage (one upstream group here)."""
     upstream_s, (upstream, l3_idx) = _timed(
-        fused._upstream_pass, trace, configs[0]
+        hierarchy._upstream_pass, trace, configs[0], hierarchy._lru_hits
     )
     ladders = {}
     for config in configs:
@@ -122,7 +120,7 @@ def _stage_breakdown(trace, configs):
 
 
 def _composed_numbers(preset):
-    """End-to-end composed-module build and sweep, fused vs. unfused."""
+    """End-to-end composed-module build, then one batched L3 sweep."""
     profile = get_profile("s1-leaf")
     config = HierarchyConfig.plt1_like(l3_size=40 * MiB).scaled(preset.scale)
     streams = generate_segment_streams(
@@ -141,41 +139,23 @@ def _composed_numbers(preset):
         for m in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
     ]
 
-    def build_and_sweep(fused_flag):
+    def build_and_sweep():
         build_s, run = _timed(
             ComposedHierarchy,
             streams,
             profile.rates,
             config,
             threads=preset.threads,
-            engine="fast",
-            fused=fused_flag,
         )
-        if fused_flag:
-            sweep_s, __ = _timed(run.solve_l3_sweep, capacities)
-        else:
-            sweep_s, __ = _timed(
-                lambda: [run.l3_at(c) for c in capacities]
-            )
-        return build_s, sweep_s, run
+        sweep_s, __ = _timed(run.solve_l3_sweep, capacities)
+        return build_s, sweep_s
 
-    # Warm numpy/allocator once so the two measured builds are comparable.
-    build_and_sweep(True)
-    unfused_build_s, unfused_sweep_s, unfused = build_and_sweep(False)
-    fused_build_s, fused_sweep_s, fused_run = build_and_sweep(True)
-    check = [
-        (fused_run.l3_hit_rate(c), unfused.l3_hit_rate(c)) for c in capacities
-    ]
-    assert all(a == b for a, b in check), "fused/unfused drift"
+    # Warm numpy/allocator once so the measured build is representative.
+    build_and_sweep()
+    build_s, sweep_s = build_and_sweep()
     return {
-        "build_seconds": {
-            "unfused": round(unfused_build_s, 3),
-            "fused": round(fused_build_s, 3),
-        },
-        "l3_sweep_seconds": {
-            "unfused": round(unfused_sweep_s, 3),
-            "fused": round(fused_sweep_s, 3),
-        },
+        "build_seconds": round(build_s, 3),
+        "l3_sweep_seconds": round(sweep_s, 3),
     }
 
 
@@ -194,11 +174,9 @@ def main(argv=None):
     trace, configs = _campaign(preset, instructions)
 
     per_point_s, per_point = _timed(
-        lambda: [simulate_hierarchy(trace, c, engine="fast") for c in configs]
+        lambda: [simulate_hierarchy(trace, c) for c in configs]
     )
-    fused_s, fused_results = _timed(
-        simulate_hierarchy_sweep, trace, configs, engine="fast"
-    )
+    fused_s, fused_results = _timed(simulate_hierarchy_sweep, trace, configs)
     identical = all(
         a.render() == b.render() for a, b in zip(fused_results, per_point)
     )
@@ -207,7 +185,7 @@ def main(argv=None):
         "campaign": {
             "configs": len(configs),
             "trace_accesses": int(len(trace)),
-            "per_point_fast_seconds": round(per_point_s, 3),
+            "per_point_seconds": round(per_point_s, 3),
             "fused_seconds": round(fused_s, 3),
             "speedup": round(per_point_s / fused_s, 1),
             "byte_identical": identical,

@@ -9,7 +9,7 @@ same path the paper takes from production binaries to miss statistics.
 """
 
 from repro._units import format_size
-from repro.cachesim import HierarchyConfig, simulate_hierarchy
+from repro.cachesim import HierarchyConfig, analytic_hierarchy
 from repro.memtrace.stats import cold_fraction, working_set_bytes
 from repro.memtrace.trace import Segment
 from repro.search import QueryGenerator, QueryGeneratorConfig, SearchCluster
@@ -57,7 +57,7 @@ def main() -> None:
 
     print("\n== trace through a scaled PLT1-like hierarchy ==")
     config = HierarchyConfig.plt1_like().scaled(1 / 16)
-    result = simulate_hierarchy(trace, config, engine="analytic")
+    result = analytic_hierarchy(trace, config)
     print(result.render())
     print("\nnote the paper's structure: code dies at the shared L3, heap")
     print("keeps reusable misses, shard misses are cold posting-list scans.")

@@ -16,7 +16,12 @@ import tempfile
 from pathlib import Path
 
 from repro._units import KiB, MiB, format_size
-from repro.cachesim import HierarchyConfig, classify_misses, simulate_hierarchy
+from repro.cachesim import (
+    HierarchyConfig,
+    analytic_hierarchy,
+    classify_misses,
+    simulate_hierarchy,
+)
 from repro.cachesim.cache import CacheGeometry
 from repro.experiments.charts import line_chart
 from repro.memtrace import load_trace, save_trace
@@ -41,10 +46,13 @@ def main() -> None:
     print(f"reloaded with metadata {metadata}\n")
 
     config = HierarchyConfig.plt1_like(l3_size=2 * MiB, l3_assoc=8).scaled(1 / 8)
-    print("== exact vs analytic engines on the reloaded trace ==")
-    for engine in ("exact", "analytic"):
-        result = simulate_hierarchy(reloaded, config, engine=engine)
-        print(f"[{engine}]")
+    print("== exact vs analytic models on the reloaded trace ==")
+    analytic = analytic_hierarchy(reloaded, config)
+    for name, result in (
+        ("exact", simulate_hierarchy(reloaded, config)),
+        ("analytic", analytic),
+    ):
+        print(f"[{name}]")
         print(result.render())
         print()
 
@@ -58,7 +66,6 @@ def main() -> None:
     )
 
     print("== L3 miss-ratio curve of the post-L2 stream ==")
-    analytic = simulate_hierarchy(reloaded, config, engine="analytic")
     capacities = [32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, MiB, 2 * MiB]
     sweep = analytic.l3_sweep(capacities)
     xs = [c / KiB for c in capacities]

@@ -1,28 +1,33 @@
 """Trace-driven cache simulation.
 
-Two engines implement the paper's methodology (§III-A):
+Two models implement the paper's methodology (§III-A):
 
 * **exact** — functional set-associative LRU simulation with way-masking
   (Intel CAT), optional inclusion with back-invalidation, and optional
-  prefetchers.  Used for L1/L2 studies and validation.
-* **analytic** — a single-pass reuse-distance / footprint-theory engine that
-  produces the entire LRU miss-ratio curve of a cache level from one numpy
-  pass, plus a vectorized exact direct-mapped engine for the L4.  Used for
-  the GiB-scale capacity sweeps, where the paper shows conflict misses are
+  prefetchers (:func:`~repro.cachesim.hierarchy.simulate_hierarchy`).
+  Used for L1/L2 studies and validation.
+* **analytic** — a single-pass reuse-distance / footprint-theory model
+  that produces the entire LRU miss-ratio curve of a cache level from one
+  numpy pass (:func:`~repro.cachesim.hierarchy.analytic_hierarchy`), plus
+  an exact vectorized direct-mapped simulation for the L4.  Used for the
+  GiB-scale capacity sweeps, where the paper shows conflict misses are
   negligible (Figure 7a).
 
-On top of these, :mod:`repro.cachesim.fastsim` provides NumPy-vectorized
-kernels for the *exact* engine behind an explicit selection API: entry
-points throughout this package take ``engine="reference" | "fast" |
-"auto"`` and are bit-identical between engines (the differential suite in
-``tests/cachesim/test_fastsim_differential.py`` is the contract).
+Exact simulation has one behaviour and each entry point picks its
+implementation from the request: the NumPy-vectorized kernels of
+:mod:`repro.cachesim.fastsim` whenever they are exact (LRU, no
+inclusion, no prefetchers), otherwise the per-access loop of
+:class:`~repro.cachesim.cache.SetAssociativeCache`, counted as a
+fallback.  The differential suite in
+``tests/cachesim/test_fastsim_differential.py`` pins the two to each
+other bit for bit.
 
 :mod:`repro.cachesim.fused` raises that contract from single runs to whole
 *campaigns*: :func:`~repro.cachesim.fused.simulate_hierarchy_sweep` replays
 a trace once per upstream-hierarchy group instead of once per sweep point,
 derives associativity ladders from one per-set stack-distance pass
 (Mattson inclusion), and can shard a replay across a spawn pool by set
-index — all bit-identical to the per-point engines.  The speed ladder is
+index — all bit-identical to per-point runs.  The speed ladder is
 documented in docs/PERFORMANCE.md.
 """
 
@@ -30,15 +35,11 @@ from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.cachesim.fastsim import (
     CASCADE_MAX_WAYS,
-    ENGINES,
-    FastSetAssociativeCache,
-    fast_direct_mapped_hits,
     fast_lru_hits,
     fast_lru_hits_for_sets,
     fast_lru_hits_ladder,
     fast_stack_distances,
     merge_counter_deltas,
-    resolve_engine,
 )
 from repro.cachesim.indexing import (
     block_shift,
@@ -60,6 +61,7 @@ from repro.cachesim.results import HierarchyResult, LevelStats
 from repro.cachesim.hierarchy import (
     CacheLevelConfig,
     HierarchyConfig,
+    analytic_hierarchy,
     simulate_hierarchy,
 )
 from repro.cachesim.prefetch import StreamPrefetcher
@@ -74,15 +76,11 @@ __all__ = [
     "CacheGeometry",
     "SetAssociativeCache",
     "CASCADE_MAX_WAYS",
-    "ENGINES",
-    "FastSetAssociativeCache",
-    "fast_direct_mapped_hits",
     "fast_lru_hits",
     "fast_lru_hits_for_sets",
     "fast_lru_hits_ladder",
     "fast_stack_distances",
     "merge_counter_deltas",
-    "resolve_engine",
     "block_shift",
     "line_of_addr",
     "lines_of_addrs",
@@ -102,6 +100,7 @@ __all__ = [
     "CacheLevelConfig",
     "HierarchyConfig",
     "simulate_hierarchy",
+    "analytic_hierarchy",
     "StreamPrefetcher",
     "classify_misses",
     "MissBreakdown",

@@ -185,47 +185,27 @@ class SetAssociativeCache:
 
     # ------------------------------------------------------------------
 
-    def simulate(self, lines: np.ndarray, engine: str = "reference") -> np.ndarray:
+    def simulate(self, lines: np.ndarray) -> np.ndarray:
         """Simulate a line stream; return a boolean hit array.
 
         Same semantics as repeated :meth:`access` calls (minus eviction
         reporting), continuing from — and updating — the current cache
-        state.  ``engine`` selects the implementation: ``"reference"`` is
-        the per-access loop below; ``"fast"``/``"auto"`` route LRU
-        simulations through the vectorized kernels of
-        :mod:`repro.cachesim.fastsim` (bit-identical; non-LRU policies
-        fall back under ``"auto"`` and raise under ``"fast"``).
+        state.  LRU replays the batch through the vectorized kernel
+        :func:`repro.cachesim.fastsim.lru_batch` (bit-identical); FIFO and
+        random replacement run the :meth:`access` loop and count a
+        fallback.
         """
         from repro.cachesim import fastsim
 
-        resolved = fastsim.resolve_engine(
-            engine, fast_supported=self.replacement == "lru"
-        )
-        if resolved == "fast":
-            return self._simulate_fast(lines)
-        if self.replacement != "lru":
-            hits = np.empty(len(lines), bool)
-            for i, line in enumerate(lines.tolist()):
-                hits[i] = self.access(line)[0]
-            return hits
-        sets = self._sets
-        num_sets = self._num_sets
-        ways = self._ways
+        if self.replacement == "lru":
+            return self._simulate_lru(lines)
+        fastsim.count_fallback()
         hits = np.empty(len(lines), bool)
         for i, line in enumerate(lines.tolist()):
-            cache_set = sets[line % num_sets]
-            if line in cache_set:
-                cache_set.remove(line)
-                cache_set.append(line)
-                hits[i] = True
-            else:
-                cache_set.append(line)
-                if len(cache_set) > ways:
-                    del cache_set[0]
-                hits[i] = False
+            hits[i] = self.access(line)[0]
         return hits
 
-    def _simulate_fast(self, lines: np.ndarray) -> np.ndarray:
+    def _simulate_lru(self, lines: np.ndarray) -> np.ndarray:
         """Vectorized LRU batch replay that keeps ``_sets`` in sync."""
         from itertools import chain
 

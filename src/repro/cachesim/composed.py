@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cachesim import fastsim
 from repro.cachesim.composition import (
     CompositeCache,
     StreamComponent,
@@ -84,16 +83,11 @@ class ComposedHierarchy:
         Cache hierarchy; all levels must share one block size.
     threads:
         Hardware threads sharing the L3.
-    engine:
-        Window-solver engine for every composed level, passed through to
-        :class:`~repro.cachesim.composition.CompositeCache`
-        (``"reference"`` | ``"fast"`` | ``"auto"``; all bit-identical).
-    fused:
-        Enable the fused fast path (fast engine only): miss-stream curves
-        are derived from each level's parent curve instead of rebuilt,
-        and L3 re-solves are memoized so capacity sweeps batch through
-        :meth:`solve_l3_sweep`.  Outputs are bit-identical either way;
-        ``False`` exists to benchmark the per-point construction path.
+
+    Miss-stream curves are derived from each level's parent curve
+    (:meth:`~repro.cachesim.misscurve.MissRatioCurve.filtered`) instead
+    of rebuilt, and L3 re-solves are memoized per capacity so capacity
+    sweeps batch through :meth:`solve_l3_sweep`.
     """
 
     def __init__(
@@ -102,8 +96,6 @@ class ComposedHierarchy:
         rates: SegmentRates,
         config: HierarchyConfig,
         threads: int = 1,
-        engine: str = "reference",
-        fused: bool = True,
     ) -> None:
         """Compose the L1/L2/L3 caches from the per-segment streams."""
         if threads < 1:
@@ -123,22 +115,15 @@ class ComposedHierarchy:
         self.rates = rates
         self.config = config
         self.threads = threads
-        self.engine = engine
-        self.fused = fused
         self.block_size = blocks.pop()
-        #: Memoized L3 re-solves keyed on capacity in lines (fused only).
+        #: Memoized L3 re-solves keyed on capacity in lines.
         self._l3_solves: dict[int, CompositeCache] = {}
 
         # ---- L1-I: code alone -------------------------------------------
         code = StreamComponent(
             "code", streams[Segment.CODE], rate=rates.code
         )
-        self.l1i = CompositeCache(
-            [code],
-            config.l1i.geometry.capacity_lines,
-            engine=engine,
-            fused=fused,
-        )
+        self.l1i = CompositeCache([code], config.l1i.geometry.capacity_lines)
 
         # ---- L1-D: data segments ----------------------------------------
         data_components = [
@@ -150,10 +135,7 @@ class ComposedHierarchy:
                 StreamComponent("stack", streams[Segment.STACK], rate=rates.stack)
             )
         self.l1d = CompositeCache(
-            data_components,
-            config.l1d.geometry.capacity_lines,
-            engine=engine,
-            fused=fused,
+            data_components, config.l1d.geometry.capacity_lines
         )
 
         # ---- L2: both L1s' misses ----------------------------------------
@@ -171,12 +153,7 @@ class ComposedHierarchy:
         ]
         if not l2_components:
             raise ConfigurationError("nothing missed the L1s; enlarge the streams")
-        self.l2 = CompositeCache(
-            l2_components,
-            config.l2.geometry.capacity_lines,
-            engine=engine,
-            fused=fused,
-        )
+        self.l2 = CompositeCache(l2_components, config.l2.geometry.capacity_lines)
 
         # ---- L3 inputs: all threads' L2 misses ----------------------------
         self._l3_inputs: list[StreamComponent] = []
@@ -201,12 +178,7 @@ class ComposedHierarchy:
             raise ConfigurationError("nothing missed the L2; enlarge the streams")
 
         self.l3 = (
-            CompositeCache(
-                self._l3_inputs,
-                config.l3.geometry.capacity_lines,
-                engine=engine,
-                fused=fused,
-            )
+            CompositeCache(self._l3_inputs, config.l3.geometry.capacity_lines)
             if config.l3 is not None
             else None
         )
@@ -284,9 +256,9 @@ class ComposedHierarchy:
     def l3_at(self, capacity_bytes: int) -> CompositeCache:
         """Re-solve the shared L3 at another capacity (cheap, memoized).
 
-        When the hierarchy is fused, solves are memoized per capacity (in
-        lines), so sweeps batch-primed through :meth:`solve_l3_sweep` —
-        and repeated checkpoint queries — cost one lookup.
+        Solves are memoized per capacity (in lines), so sweeps
+        batch-primed through :meth:`solve_l3_sweep` — and repeated
+        checkpoint queries — cost one lookup.
 
         Units: ``capacity_bytes`` is the L3 capacity in bytes.
         """
@@ -294,11 +266,8 @@ class ComposedHierarchy:
         cached = self._l3_solves.get(lines)
         if cached is not None:
             return cached
-        cache = CompositeCache(
-            self._l3_inputs, lines, engine=self.engine, fused=self.fused
-        )
-        if self.fused:
-            self._l3_solves[lines] = cache
+        cache = CompositeCache(self._l3_inputs, lines)
+        self._l3_solves[lines] = cache
         return cache
 
     def solve_l3_sweep(
@@ -306,32 +275,25 @@ class ComposedHierarchy:
     ) -> list[CompositeCache]:
         """Solve the L3 at many capacities in one lockstep pass.
 
-        On the fast engine with fusion enabled, all not-yet-memoized
-        capacities go through a single
+        All not-yet-memoized capacities go through a single
         :func:`~repro.cachesim.composition.solve_windows` call — every
-        element of the batch follows the scalar bisection recurrence
+        element of the batch follows the bisection recurrence
         independently, so each resulting cache is bit-identical to a
-        per-point :meth:`l3_at` solve.  On the reference engine (or with
-        ``fused=False``) this degrades to per-point solves.  Returns the
-        caches in request order.
+        per-point :meth:`l3_at` solve.  Returns the caches in request
+        order.
 
         Units: ``capacities_bytes`` are L3 capacities in bytes.
         """
-        if self.fused and fastsim.resolve_engine(self.engine) == "fast":
-            seen: dict[int, None] = {}
-            for capacity in capacities_bytes:
-                seen.setdefault(max(1, int(capacity) // self.block_size))
-            todo = [c for c in seen if c not in self._l3_solves]
-            if todo:
-                windows = solve_windows(self._l3_inputs, todo)
-                for lines, window in zip(todo, windows):
-                    self._l3_solves[lines] = CompositeCache(
-                        self._l3_inputs,
-                        lines,
-                        engine=self.engine,
-                        window=float(window),
-                        fused=True,
-                    )
+        seen: dict[int, None] = {}
+        for capacity in capacities_bytes:
+            seen.setdefault(max(1, int(capacity) // self.block_size))
+        todo = [c for c in seen if c not in self._l3_solves]
+        if todo:
+            windows = solve_windows(self._l3_inputs, todo)
+            for lines, window in zip(todo, windows):
+                self._l3_solves[lines] = CompositeCache(
+                    self._l3_inputs, lines, window=float(window)
+                )
         return [self.l3_at(int(c)) for c in capacities_bytes]
 
     def l3_hit_rate(self, capacity_bytes: int, segment: Segment | None = None) -> float:

@@ -102,11 +102,14 @@ def solve_windows(
 ) -> np.ndarray:
     """Solve the composition window for many capacities in lockstep.
 
-    The vectorized counterpart of :meth:`CompositeCache._solve_window`:
-    every capacity follows exactly the scalar bisection recurrence (same
-    full-fit early-out, same 60 midpoint steps, same float64 arithmetic,
-    components accumulated in the same order), so each solved window is
-    bit-identical to a scalar solve at that capacity.
+    For a capacity C the window W is the largest one whose combined
+    footprint ``sum_i k_i * fp_i(r_i * W)`` fits in C: the longest stream
+    span when everything fits, otherwise 60 bisection steps over
+    ``[0, span]``, which pin W to full float precision.  Every capacity
+    follows that recurrence independently in float64, components
+    accumulated in order, so a window solved in a batch is bit-identical
+    to the same capacity solved alone (and to the scalar bisection the
+    test suite keeps as its oracle).
     """
     if not components:
         raise ConfigurationError("need at least one stream component")
@@ -137,35 +140,27 @@ def solve_windows(
 class CompositeCache:
     """A shared LRU cache serving several concurrent streams.
 
-    ``engine`` selects the window solver: ``"reference"`` is the scalar
-    bisection, ``"fast"``/``"auto"`` route through the lockstep batch
-    solver :func:`solve_windows` (bit-identical by construction).
-
-    ``window`` injects a pre-solved residency window (kilo-instructions),
-    skipping the solve entirely — :meth:`repro.cachesim.composed.\
+    The residency window is solved by :func:`solve_windows`.  ``window``
+    injects a pre-solved window (kilo-instructions), skipping the solve
+    entirely — :meth:`repro.cachesim.composed.\
 ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
     lockstep pass and builds each cache this way.  The injected value must
     come from :func:`solve_windows` over the same components, which makes
     it bit-identical to what the in-constructor solve would produce.
 
-    ``fused`` (fast engine only) lets :meth:`miss_component` derive the
-    miss stream's curve from the parent curve via
+    :meth:`miss_component` derives the miss stream's curve from the
+    parent curve via
     :meth:`~repro.cachesim.misscurve.MissRatioCurve.filtered` instead of
-    rebuilding it — same numbers, a fraction of the cost.  Pass ``False``
-    to benchmark the unfused construction path.
+    rebuilding it — the same curve at a fraction of the cost.
     """
 
     def __init__(
         self,
         components: list[StreamComponent],
         capacity_lines: int,
-        engine: str = "reference",
         *,
         window: float | None = None,
-        fused: bool = True,
     ) -> None:
-        from repro.cachesim import fastsim
-
         if not components:
             raise ConfigurationError("need at least one stream component")
         names = [c.name for c in components]
@@ -175,46 +170,9 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
             raise ConfigurationError("capacity_lines must be positive")
         self.components = {c.name: c for c in components}
         self.capacity_lines = capacity_lines
-        self.engine = engine
-        self._fast = fastsim.resolve_engine(engine) == "fast"
-        self._fused = fused
-        if window is not None:
-            self._window = float(window)
-        elif self._fast:
-            self._window = float(
-                solve_windows(components, [capacity_lines])[0]
-            )
-        else:
-            self._window = self._solve_window()
-
-    # ------------------------------------------------------------------
-
-    def _combined_footprint(self, window_ki: float) -> float:
-        """Sum of per-stream footprints over a global window (in KI)."""
-        return sum(
-            c.multiplicity * c.curve.footprint_clamped(c.rate * window_ki)
-            for c in self.components.values()
-        )
-
-    def _solve_window(self) -> float:
-        """Largest global window (KI) whose combined footprint fits."""
-        capacity = float(self.capacity_lines)
-        if self._combined_footprint(self._max_window()) <= capacity:
-            return self._max_window()
-        lo, hi = 0.0, self._max_window()
-        # ~60 bisection steps pin the window to full float precision.
-        for __ in range(60):
-            mid = (lo + hi) / 2.0
-            if self._combined_footprint(mid) <= capacity:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def _max_window(self) -> float:
-        return max(
-            len(c.lines) / c.rate for c in self.components.values()
-        )
+        if window is None:
+            window = solve_windows(components, [capacity_lines])[0]
+        self._window = float(window)
 
     # ------------------------------------------------------------------
 
@@ -258,17 +216,12 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
             return None
         miss_fraction = len(miss_lines) / len(component.lines)
         assert component.curve is not None  # established in __post_init__
-        curve = (
-            component.curve.filtered(miss_mask)
-            if self._fast and self._fused
-            else None
-        )
         return StreamComponent(
             name=name,
             lines=miss_lines,
             rate=component.rate * miss_fraction,
             multiplicity=component.multiplicity,
-            curve=curve,
+            curve=component.curve.filtered(miss_mask),
         )
 
     def mpki(self, name: str) -> float:

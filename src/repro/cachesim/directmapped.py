@@ -9,17 +9,11 @@ the same set" becomes "previous element in my group".
 This makes 8-point GiB-scale L4 capacity sweeps (Figure 13) take seconds
 instead of the minutes a per-access Python loop would need.
 
-Two engines, both exact and bit-identical: ``"reference"`` groups the whole
-stream with one packed-key sort
-(:func:`repro.cachesim.indexing.stable_group_order`, this module);
-``"fast"`` is the chunked gather/compare/scatter kernel
-(:func:`repro.cachesim.fastsim.fast_direct_mapped_hits`), which carries a
-dense tag array across 1 M-access chunks.  The one global sort is the
-faster of the two: on Zipf line streams into 2**18 sets it takes 48 ms at
-0.9 M accesses and 449 ms at 8 M, against 55 ms and 479 ms for the chunked
-kernel (2-core x86-64 host, NumPy 2.4).  The chunked kernel's use is
-bounded memory (per-chunk sort buffers) and cache state threaded across
-calls through its ``tags`` argument.
+One packed-key sort (:func:`repro.cachesim.indexing.stable_group_order`)
+groups the whole stream: on Zipf line streams into 2**18 sets it takes
+48 ms at 0.9 M accesses and 449 ms at 8 M (2-core x86-64 host, NumPy
+2.4).  Line ids are only compared with each other, so any int64 value —
+negative ones included — is a valid line id.
 """
 
 from __future__ import annotations
@@ -30,9 +24,7 @@ from repro.cachesim.indexing import set_indices, stable_group_order
 from repro.errors import ConfigurationError
 
 
-def simulate_direct_mapped(
-    lines: np.ndarray, num_sets: int, engine: str = "reference"
-) -> np.ndarray:
+def simulate_direct_mapped(lines: np.ndarray, num_sets: int) -> np.ndarray:
     """Exactly simulate a direct-mapped cache over a line stream.
 
     Parameters
@@ -41,20 +33,13 @@ def simulate_direct_mapped(
         Cache-line addresses in program order.
     num_sets:
         Number of sets == number of lines of capacity (direct-mapped).
-    engine:
-        ``"reference"`` (one global sort), ``"fast"`` (chunked dense-tag
-        kernel), or ``"auto"`` (the fast kernel; it is always exact here).
 
     Returns
     -------
     Boolean hit array aligned with ``lines``.
     """
-    from repro.cachesim import fastsim
-
     if num_sets <= 0:
         raise ConfigurationError(f"num_sets must be positive, got {num_sets}")
-    if fastsim.resolve_engine(engine) == "fast":
-        return fastsim.fast_direct_mapped_hits(lines, num_sets)
     n = len(lines)
     if n == 0:
         return np.empty(0, bool)
@@ -73,11 +58,9 @@ def simulate_direct_mapped(
     return hits
 
 
-def direct_mapped_hit_rate(
-    lines: np.ndarray, capacity_lines: int, engine: str = "reference"
-) -> float:
+def direct_mapped_hit_rate(lines: np.ndarray, capacity_lines: int) -> float:
     """Hit rate of a direct-mapped cache with ``capacity_lines`` lines."""
     if len(lines) == 0:
         raise ConfigurationError("hit rate of an empty stream is undefined")
-    hits = simulate_direct_mapped(lines, capacity_lines, engine=engine)
+    hits = simulate_direct_mapped(lines, capacity_lines)
     return float(np.count_nonzero(hits)) / len(lines)

@@ -1,44 +1,35 @@
-"""NumPy-vectorized cache-simulation kernels (the ``fast`` engine).
+"""NumPy-vectorized cache-simulation kernels.
 
-The reference simulator (:mod:`repro.cachesim.cache`,
-:mod:`repro.cachesim.mattson`) replays traces one address at a time
-through Python data structures — exact, readable, and the dominant cost
-of a campaign.  This module provides drop-in vectorized kernels that are
-**bit-identical** to the reference engine (enforced by the differential
-suite in ``tests/cachesim/test_fastsim_differential.py``), behind an
-explicit engine-selection API:
+The per-access simulator (:class:`repro.cachesim.cache.SetAssociativeCache`
+and the loops in :mod:`repro.cachesim.mattson`) replays traces one address
+at a time through Python data structures — exact, readable, and far too
+slow for a campaign.  The kernels here are **bit-identical** to it
+(enforced by the differential suite in
+``tests/cachesim/test_fastsim_differential.py``), and every cachesim
+entry point uses them whenever they are exact for the request: LRU
+replacement, no inclusion, no prefetchers.  Requests outside that set
+run the per-access loop and count a fallback.
 
-* ``engine="reference"`` — the original per-access implementations;
-* ``engine="fast"`` — the kernels below; raises when a request falls
-  outside what they support exactly (e.g. random replacement);
-* ``engine="auto"`` — ``fast`` whenever it is exact for the request,
-  otherwise a counted fallback to ``reference``.
+Two kernels:
 
-Three kernels:
-
-1. **Set-associative LRU** (:func:`fast_lru_hits`,
-   :class:`FastSetAssociativeCache`).  Accesses in different sets are
-   independent; one stable sort groups each set's accesses in program
-   order.  The grouped stream then runs through a *register cascade*: an
-   LRU set of ``W`` ways is a chain of ``W`` recency registers where an
-   access shifts registers 1..d down by one (d being its stack depth).
-   Stage ``k`` therefore sees exactly the accesses of depth >= ``k``, and
-   the stage-``k`` register content at any event is simply the value the
-   *previous* stage-``k`` event in the same set pushed down — a shifted
-   compare over the surviving subsequence.  Each stage is a handful of
-   O(m) vectorized ops on a shrinking array; total work is
-   ``sum(min(depth_i, W))`` instead of a full stack-distance pass.  For
-   fully-associative or very wide geometries (``W`` beyond
+1. **Set-associative LRU** (:func:`fast_lru_hits`, :func:`lru_batch`).
+   Accesses in different sets are independent; one stable sort groups
+   each set's accesses in program order.  The grouped stream then runs
+   through a *register cascade*: an LRU set of ``W`` ways is a chain of
+   ``W`` recency registers where an access shifts registers 1..d down by
+   one (d being its stack depth).  Stage ``k`` therefore sees exactly the
+   accesses of depth >= ``k``, and the stage-``k`` register content at any
+   event is simply the value the *previous* stage-``k`` event in the same
+   set pushed down — a shifted compare over the surviving subsequence.
+   Each stage is a handful of O(m) vectorized ops on a shrinking array;
+   total work is ``sum(min(depth_i, W))`` instead of a full stack-distance
+   pass.  For fully-associative or very wide geometries (``W`` beyond
    :data:`CASCADE_MAX_WAYS`) the kernel switches to the stack-distance
-   formulation (hit iff per-set distance <= ``W``).  The stateful class
-   keeps per-set tag and age matrices as dense ``ndarray``\\ s, so warm
-   starts, CAT way-masking, and invalidation behave exactly like the
-   reference cache.
-2. **Direct-mapped** (:func:`fast_direct_mapped_hits`).  One
-   gather/compare/scatter pass per trace chunk against a dense tag array
-   — an access hits iff the previous access to its set carried the same
-   line.
-3. **Single-pass Mattson** (:func:`fast_stack_distances`).  The classical
+   formulation (hit iff per-set distance <= ``W``).  :func:`lru_batch`
+   replays a warm cache state as a prefix, which is how
+   :meth:`~repro.cachesim.cache.SetAssociativeCache.simulate` continues
+   from earlier batches.
+2. **Single-pass Mattson** (:func:`fast_stack_distances`).  The classical
    Fenwick-over-last-access-times algorithm (Olken) computes, for access
    ``i`` with previous occurrence ``p``, the number of still-most-recent
    positions after ``p``.  That count has a closed form over the
@@ -52,33 +43,26 @@ Three kernels:
    stable sort of a packed ``(value, position)`` int64 key) — the whole
    LRU miss curve from one pass, with no per-capacity re-simulation.
 
-Kernel activity is tracked in module counters exposed through the
-:mod:`repro.obs` registry via :func:`record_metrics`; wall-time tracking
-is opt-in (:func:`enable_timing`) so simulation results never depend on
-the host clock.
+The direct-mapped L4 has its own one-sort kernel in
+:mod:`repro.cachesim.directmapped`.  Kernel activity is tracked in module
+counters exposed through the :mod:`repro.obs` registry via
+:func:`record_metrics`; none of them depends on the host clock.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.indexing import set_indices, stable_group_order
 from repro.errors import ConfigurationError, TraceError
 from repro.obs.metrics import MetricsRegistry
 
-#: Engine names accepted by every engine-parameterized entry point.
-ENGINES = ("reference", "fast", "auto")
-
 #: Stack distance of first-touch accesses (mirrors ``mattson.COLD``).
 COLD = np.iinfo(np.int64).max
 
-#: Sentinel tag for an empty way in the dense tag matrices.
-EMPTY = np.int64(-1)
-
 
 # ----------------------------------------------------------------------
-# Engine selection and counters
+# Counters
 # ----------------------------------------------------------------------
 
 _COUNTERS: dict[str, int] = {
@@ -86,34 +70,15 @@ _COUNTERS: dict[str, int] = {
     "kernel_calls": 0,
     "fallbacks": 0,
 }
-_KERNEL_SECONDS: float = 0.0
-_TIMING_ENABLED: bool = False
 
 
-def resolve_engine(engine: str, fast_supported: bool = True) -> str:
-    """Resolve an engine request to ``"reference"`` or ``"fast"``.
+def count_fallback() -> None:
+    """Count one request the kernels cannot serve exactly.
 
-    ``fast_supported`` says whether the fast kernel is exact for the
-    request at hand (LRU replacement, no inclusion coupling, ...).  An
-    explicit ``"fast"`` request that is not supported raises;
-    ``"auto"`` falls back to the reference engine and counts the
-    fallback.
+    Callers invoke this when they run the per-access loop instead: a
+    non-LRU policy, an inclusive hierarchy, or prefetchers.
     """
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    if engine == "reference":
-        return "reference"
-    if fast_supported:
-        return "fast"
-    if engine == "fast":
-        raise ConfigurationError(
-            "engine='fast' requested but the fast kernel is not exact for "
-            "this configuration; use engine='auto' to fall back"
-        )
     _COUNTERS["fallbacks"] += 1  # repro: noqa RPR701 -- process-local telemetry, never feeds results; the parallel runner merges per-worker deltas (parallel._run_task)
-    return "reference"
 
 
 def _record_kernel(accesses: int) -> None:
@@ -136,58 +101,23 @@ def merge_counter_deltas(delta: dict[str, float]) -> None:
         _COUNTERS[key] += int(delta.get(key, 0))  # repro: noqa RPR701 -- process-local telemetry, never feeds results; folds sharded-replay worker deltas into the parent (the sanctioned worker-delta pattern)
 
 
-def enable_timing(enabled: bool = True) -> None:
-    """Opt into wall-time tracking of kernel calls (benchmarks only).
-
-    Timing is off by default so that metrics attached to experiment
-    results stay byte-identical across hosts and engines.
-    """
-    global _TIMING_ENABLED
-    _TIMING_ENABLED = enabled
-
-
-class _KernelTimer:
-    """Accumulates kernel wall time into the module counter when enabled."""
-
-    def __enter__(self) -> "_KernelTimer":
-        if _TIMING_ENABLED:
-            import time
-
-            self._start = time.perf_counter()  # repro: noqa RPR102 -- opt-in kernel profiling, never feeds simulation
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if _TIMING_ENABLED:
-            import time
-
-            global _KERNEL_SECONDS
-            _KERNEL_SECONDS += time.perf_counter() - self._start  # repro: noqa RPR102 -- opt-in kernel profiling, never feeds simulation
-
-
 def counters_snapshot() -> dict[str, float]:
-    """Current kernel counters (plus ``kernel_seconds`` when timed)."""
-    snapshot: dict[str, float] = dict(_COUNTERS)
-    snapshot["kernel_seconds"] = _KERNEL_SECONDS
-    return snapshot
+    """Current kernel counters."""
+    return dict(_COUNTERS)
 
 
 def reset_counters() -> None:
     """Zero the kernel counters (tests and benchmarks)."""
-    global _KERNEL_SECONDS
     for key in _COUNTERS:
         _COUNTERS[key] = 0
-    _KERNEL_SECONDS = 0.0
 
 
 def record_metrics(
     registry: MetricsRegistry,
-    include_timing: bool = False,
     since: dict[str, float] | None = None,
 ) -> None:
     """Publish ``repro.fastsim.*`` counters into an obs registry.
 
-    ``include_timing`` additionally publishes the (host-dependent) kernel
-    wall time; leave it off for anything that must be byte-reproducible.
     ``since`` (an earlier :func:`counters_snapshot`) publishes only the
     delta — the parallel runner uses this so reused pool workers don't
     double-count across tasks.
@@ -205,15 +135,9 @@ def record_metrics(
     ).inc(_COUNTERS["kernel_calls"] - int(base.get("kernel_calls", 0)))
     registry.counter(
         "repro.fastsim.fallbacks",
-        help="engine='auto' requests served by the reference engine.",
+        help="Requests served by the per-access loop.",
         unit="calls",
     ).inc(_COUNTERS["fallbacks"] - int(base.get("fallbacks", 0)))
-    if include_timing:
-        registry.gauge(
-            "repro.fastsim.kernel_wall_time_s",
-            help="Wall time spent inside fastsim kernels (opt-in timing).",
-            unit="s",
-        ).set(_KERNEL_SECONDS)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +225,7 @@ def _previous_occurrence(lines: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Kernel 3: single-pass Mattson stack distances
+# Kernel 2: single-pass Mattson stack distances
 # ----------------------------------------------------------------------
 
 
@@ -352,8 +276,7 @@ def fast_stack_distances(lines: np.ndarray) -> np.ndarray:
     closed form this evaluates.
     """
     n = len(lines)
-    with _KernelTimer():
-        out = _stack_distances(np.asarray(lines).astype(np.int64, copy=False))
+    out = _stack_distances(np.asarray(lines).astype(np.int64, copy=False))
     _record_kernel(n)
     return out
 
@@ -447,7 +370,8 @@ def fast_lru_hits(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     cascade (or, for very wide geometries, the stack-distance
     formulation: an access hits iff its per-set stack distance is at
     most ``ways``).  Bit-identical to
-    :meth:`repro.cachesim.cache.SetAssociativeCache.simulate` from cold.
+    :meth:`repro.cachesim.cache.SetAssociativeCache.access`, one access
+    at a time from cold.
     """
     if num_sets <= 0 or ways <= 0:
         raise ConfigurationError(
@@ -456,9 +380,8 @@ def fast_lru_hits(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     n = len(lines)
     if n == 0:
         return np.empty(0, bool)
-    with _KernelTimer():
-        lines64 = np.asarray(lines).astype(np.int64, copy=False)
-        hits = _grouped_lru_hits(lines64, num_sets, ways)
+    lines64 = np.asarray(lines).astype(np.int64, copy=False)
+    hits = _grouped_lru_hits(lines64, num_sets, ways)
     _record_kernel(n)
     return hits
 
@@ -494,20 +417,19 @@ def fast_lru_hits_ladder(
     hits = np.empty((len(ways_list), n), bool)
     if n == 0:
         return hits
-    with _KernelTimer():
-        lines64 = np.asarray(lines).astype(np.int64, copy=False)
-        if num_sets == 1:
-            order = None
-            distances = _stack_distances(lines64)
+    lines64 = np.asarray(lines).astype(np.int64, copy=False)
+    if num_sets == 1:
+        order = None
+        distances = _stack_distances(lines64)
+    else:
+        order, _ = stable_group_order(set_indices(lines64, num_sets))
+        distances = _stack_distances(lines64[order])
+    for k, ways in enumerate(ways_list):
+        mask = (distances != COLD) & (distances <= ways)
+        if order is None:
+            hits[k] = mask
         else:
-            order, _ = stable_group_order(set_indices(lines64, num_sets))
-            distances = _stack_distances(lines64[order])
-        for k, ways in enumerate(ways_list):
-            mask = (distances != COLD) & (distances <= ways)
-            if order is None:
-                hits[k] = mask
-            else:
-                hits[k, order] = mask
+            hits[k, order] = mask
     _record_kernel(n)
     return hits
 
@@ -531,10 +453,9 @@ def fast_lru_hits_for_sets(
     n = len(lines)
     if n == 0:
         return np.empty(0, bool)
-    with _KernelTimer():
-        lines64 = np.asarray(lines).astype(np.int64, copy=False)
-        sets64 = np.asarray(sets).astype(np.int64, copy=False)
-        hits = _hits_for_set_stream(lines64, sets64, ways)
+    lines64 = np.asarray(lines).astype(np.int64, copy=False)
+    sets64 = np.asarray(sets).astype(np.int64, copy=False)
+    hits = _hits_for_set_stream(lines64, sets64, ways)
     _record_kernel(n)
     return hits
 
@@ -597,177 +518,7 @@ def lru_batch(
     if len(stream) == 0:
         empty = np.empty(0, np.int64)
         return np.empty(0, bool), (empty, empty, empty, empty)
-    with _KernelTimer():
-        hits_all = _grouped_lru_hits(stream, num_sets, ways)
-        state = _final_lru_state(stream, num_sets, ways)
+    hits_all = _grouped_lru_hits(stream, num_sets, ways)
+    state = _final_lru_state(stream, num_sets, ways)
     _record_kernel(len(stream))
     return hits_all[skip:], state
-
-
-class FastSetAssociativeCache:
-    """Vectorized functional set-associative LRU cache.
-
-    State lives in dense per-set tag and age matrices
-    (``[num_sets, effective_ways]``); batches are simulated by the
-    set-grouped stack-distance kernel with the current state replayed as
-    a warm prefix.  Semantics — including CAT way-masking and
-    invalidation — match :class:`~repro.cachesim.cache.SetAssociativeCache`
-    with LRU replacement exactly; the differential suite compares them
-    access for access and state for state.
-    """
-
-    def __init__(self, geometry: CacheGeometry, replacement: str = "lru") -> None:
-        """Allocate the dense per-set tag/age state for ``geometry``."""
-        if replacement != "lru":
-            raise ConfigurationError(
-                "the fast set-associative kernel is exact for LRU only; "
-                f"got {replacement!r} (use the reference engine)"
-            )
-        self.geometry = geometry
-        self.replacement = replacement
-        self._num_sets = geometry.num_sets
-        self._ways = geometry.effective_ways
-        self._tags = np.full((self._num_sets, self._ways), EMPTY, np.int64)
-        self._ages = np.zeros((self._num_sets, self._ways), np.int64)
-        self._clock = 0
-
-    # -- state views ----------------------------------------------------
-
-    def _warm_stream(self) -> np.ndarray:
-        """Residents as a line stream, per-set oldest-to-newest."""
-        resident = self._tags != EMPTY
-        if not resident.any():
-            return np.empty(0, np.int64)
-        set_of = np.broadcast_to(
-            np.arange(self._num_sets, dtype=np.int64)[:, None], self._tags.shape
-        )[resident]
-        lines = self._tags[resident]
-        ages = self._ages[resident]
-        order = np.lexsort((ages, set_of))
-        return lines[order]
-
-    def set_contents(self, set_idx: int) -> list[int]:
-        """Resident lines of one set, oldest to newest (LRU order)."""
-        row = self._tags[set_idx]
-        resident = row != EMPTY
-        order = np.argsort(self._ages[set_idx][resident], kind="stable")
-        return [int(line) for line in row[resident][order]]
-
-    @property
-    def resident_lines(self) -> int:
-        """Number of lines currently resident."""
-        return int(np.count_nonzero(self._tags != EMPTY))
-
-    def contains(self, line: int) -> bool:
-        """Check residency without updating recency."""
-        return bool((self._tags[line % self._num_sets] == line).any())
-
-    def flush(self) -> None:
-        """Empty the cache."""
-        self._tags.fill(EMPTY)
-        self._clock = 0
-
-    def invalidate(self, line: int) -> bool:
-        """Remove a line (inclusion back-invalidation); True if present."""
-        row = self._tags[line % self._num_sets]
-        match = row == line
-        if not match.any():
-            return False
-        row[match] = EMPTY
-        return True
-
-    # -- simulation -----------------------------------------------------
-
-    def access_batch(self, lines: np.ndarray) -> np.ndarray:
-        """Access a line batch in order; return its boolean hit mask."""
-        n = len(lines)
-        if n == 0:
-            return np.empty(0, bool)
-        warm = self._warm_stream()
-        hits, (sets, tags, ranks, positions) = lru_batch(
-            lines, self._num_sets, self._ways, warm=warm
-        )
-        self._tags.fill(EMPTY)
-        self._tags[sets, ranks] = tags
-        self._ages[sets, ranks] = self._clock + positions
-        self._clock += len(warm) + n
-        return hits
-
-    def access(self, line: int) -> tuple[bool, int | None]:
-        """Access one line; return ``(hit, evicted_line_or_None)``."""
-        set_idx = line % self._num_sets
-        before = set(self.set_contents(set_idx))
-        hit = bool(self.access_batch(np.array([line], np.int64))[0])
-        evicted = before - set(self.set_contents(set_idx))
-        return hit, (evicted.pop() if evicted else None)
-
-    def simulate(self, lines: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`access_batch` mirroring the reference API."""
-        return self.access_batch(lines)
-
-
-# ----------------------------------------------------------------------
-# Kernel 2: direct-mapped chunks
-# ----------------------------------------------------------------------
-
-#: Default trace-chunk length for the direct-mapped kernel, in accesses
-#: (not bytes): ~1M-event chunks keep the per-chunk sort in cache while
-#: amortizing the python-level loop.
-DIRECT_MAPPED_CHUNK = 1 << 20  # repro: noqa RPR001 -- access count, not a size
-
-
-def fast_direct_mapped_hits(
-    lines: np.ndarray,
-    num_sets: int,
-    chunk: int = DIRECT_MAPPED_CHUNK,
-    tags: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact direct-mapped hit mask via chunked gather/compare/scatter.
-
-    Keeps a dense tag array across chunks; within a chunk, a stable sort
-    by set turns "previous access to my set" into "previous element of my
-    group", the first access of each set gathers the carried-over tag,
-    and each set's last line scatters back.  Passing ``tags`` (an int64
-    array, one entry per set) lets a caller thread cache state across
-    calls (it is mutated in place).
-    """
-    if num_sets <= 0:
-        raise ConfigurationError(f"num_sets must be positive, got {num_sets}")
-    if chunk <= 0:
-        raise ConfigurationError(f"chunk must be positive, got {chunk}")
-    n = len(lines)
-    if n == 0:
-        return np.empty(0, bool)
-    if tags is None:
-        tags = np.full(num_sets, EMPTY, np.int64)
-    elif tags.dtype != np.int64:
-        # A narrower array would silently truncate the stored line ids.
-        raise ConfigurationError(f"tags array must be int64, got {tags.dtype}")
-    elif len(tags) != num_sets:
-        raise ConfigurationError(
-            f"tags array has {len(tags)} entries for {num_sets} sets"
-        )
-    lines64 = np.asarray(lines).astype(np.int64, copy=False)
-    hits = np.empty(n, bool)
-    with _KernelTimer():
-        for start in range(0, n, chunk):
-            part = lines64[start : start + chunk]
-            sets = set_indices(part, num_sets)
-            order, g_sets = stable_group_order(sets)
-            g_lines = part[order]
-            m = len(part)
-            first = np.empty(m, bool)
-            first[0] = True
-            first[1:] = g_sets[1:] != g_sets[:-1]
-            hit_sorted = np.empty(m, bool)
-            hit_sorted[~first] = g_lines[~first] == np.roll(g_lines, 1)[~first]
-            hit_sorted[first] = tags[g_sets[first]] == g_lines[first]
-            chunk_hits = np.empty(m, bool)
-            chunk_hits[order] = hit_sorted
-            hits[start : start + m] = chunk_hits
-            last = np.empty(m, bool)
-            last[-1] = True
-            last[:-1] = first[1:]
-            tags[g_sets[last]] = g_lines[last]
-    _record_kernel(n)
-    return hits

@@ -29,17 +29,16 @@ though only the last level changed.  This module fuses the campaign:
 
 The TLB sits beside the cache sweep rather than inside it: translations
 depend only on the trace and the page size, never on cache geometry, so
-one :func:`repro.cpu.tlb.simulate_tlb` pass (itself vectorized behind
-``engine="fast"``) covers a whole campaign.  The L4 likewise consumes
-the swept L3's miss stream (:meth:`~repro.cachesim.composed.\
-ComposedHierarchy.l4_demand` with memoized L3 solves) through the
-already-vectorized direct-mapped kernel.  Prefetchers and inclusive
-hierarchies remain exact-engine territory: ``engine="auto"`` falls back
-to per-point reference simulation for them, ``engine="fast"`` raises.
+one (vectorized) :func:`repro.cpu.tlb.simulate_tlb` pass covers a whole
+campaign.  The L4 likewise consumes the swept L3's miss stream
+(:meth:`~repro.cachesim.composed.ComposedHierarchy.l4_demand` with
+memoized L3 solves) through the vectorized direct-mapped kernel.
+Inclusive hierarchies couple the levels access by access, so inclusive
+points in a sweep run :func:`~repro.cachesim.hierarchy.simulate_hierarchy`
+one by one (its counted per-access fallback).
 
 Everything here is bit-identical to per-point replay — enforced by the
-Hypothesis differential suite (``tests/cachesim/test_fused.py``) and the
-fig6/fig7/fig12 golden byte-equality tests.
+Hypothesis differential suite (``tests/cachesim/test_fused.py``).
 """
 
 from __future__ import annotations
@@ -57,13 +56,14 @@ from repro.cachesim.fastsim import (
 )
 from repro.cachesim.hierarchy import (
     HierarchyConfig,
-    _fast_level_pass,
+    _lru_hits,
+    _upstream_pass,
     simulate_hierarchy,
 )
 from repro.cachesim.indexing import lines_of_addrs, set_indices, shard_of_sets
 from repro.cachesim.results import HierarchyResult, LevelStats
 from repro.errors import ConfigurationError, SimulationError
-from repro.memtrace.trace import AccessKind, Trace
+from repro.memtrace.trace import Trace
 
 #: Below this many accesses a sharded replay runs in-process: pool spawn
 #: costs more than the kernel saves.
@@ -166,49 +166,9 @@ def sharded_lru_hits(
 # ----------------------------------------------------------------------
 
 
-def _upstream_pass(
-    trace: Trace, config: HierarchyConfig
-) -> tuple[dict[str, LevelStats], np.ndarray]:
-    """Replay the trace through L1-I/L1-D/L2 once; return stats + L3 input.
-
-    Identical filtering to ``hierarchy._simulate_fast`` — each private
-    level sees its thread's stream filtered by the level above (the
-    warm-state handoff), and the returned indices are the program-order
-    merge of every thread's L2 misses.
-    """
-    stats = {name: LevelStats(name=name) for name in ("L1I", "L1D", "L2")}
-    is_instr = trace.kind == AccessKind.INSTR
-    l2_parts: list[np.ndarray] = []
-    for t in trace.thread_ids():
-        of_thread = trace.thread == np.uint16(t)
-        instr_idx = np.flatnonzero(of_thread & is_instr)
-        data_idx = np.flatnonzero(of_thread & ~is_instr)
-        misses: list[np.ndarray] = []
-        if len(instr_idx):
-            misses.append(
-                _fast_level_pass(trace, instr_idx, config.l1i.geometry, stats["L1I"])
-            )
-        if len(data_idx):
-            misses.append(
-                _fast_level_pass(trace, data_idx, config.l1d.geometry, stats["L1D"])
-            )
-        if not misses:
-            continue
-        l2_in = np.sort(np.concatenate(misses))
-        if len(l2_in):
-            l2_parts.append(
-                _fast_level_pass(trace, l2_in, config.l2.geometry, stats["L2"])
-            )
-    l3_idx = (
-        np.sort(np.concatenate(l2_parts)) if l2_parts else np.empty(0, np.int64)
-    )
-    return stats, l3_idx
-
-
 def simulate_hierarchy_sweep(
     trace: Trace,
     configs: list[HierarchyConfig],
-    engine: str = "auto",
     jobs: int = 1,
 ) -> list[HierarchyResult]:
     """Simulate many hierarchy configurations with shared passes.
@@ -216,7 +176,7 @@ def simulate_hierarchy_sweep(
     The campaign form of
     :func:`~repro.cachesim.hierarchy.simulate_hierarchy`: results are
     returned in ``configs`` order and each is bit-identical to a
-    per-point ``simulate_hierarchy(trace, config, engine="fast")`` run.
+    per-point ``simulate_hierarchy(trace, config)`` run.
     Work is shared at two levels — one upstream L1/L2 replay per distinct
     (L1-I, L1-D, L2) geometry triple, and one stack-distance pass per
     last-level associativity ladder (fixed block size and set count);
@@ -224,9 +184,8 @@ def simulate_hierarchy_sweep(
     and replay the (already filtered) L3 stream per point, optionally
     sharded over ``jobs`` spawned workers.
 
-    ``engine`` follows the usual contract: inclusive hierarchies are not
-    vectorizable, so ``"fast"`` raises on them and ``"auto"`` falls back
-    to per-point reference simulation.
+    Inclusive configurations are not vectorizable; each one runs
+    :func:`~repro.cachesim.hierarchy.simulate_hierarchy` on its own.
     """
     if not configs:
         raise ConfigurationError("need at least one hierarchy configuration")
@@ -234,21 +193,17 @@ def simulate_hierarchy_sweep(
         raise SimulationError("cannot simulate an empty trace")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    fast_ok = all(not config.inclusive for config in configs)
-    if fastsim.resolve_engine(engine, fast_supported=fast_ok) == "reference":
-        return [
-            simulate_hierarchy(trace, config, engine="exact")
-            for config in configs
-        ]
-
     results: list[HierarchyResult | None] = [None] * len(configs)
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
+        if config.inclusive:
+            results[i] = simulate_hierarchy(trace, config)
+            continue
         key = (config.l1i.geometry, config.l1d.geometry, config.l2.geometry)
         groups.setdefault(key, []).append(i)
 
     for members in groups.values():
-        upstream, l3_idx = _upstream_pass(trace, configs[members[0]])
+        upstream, l3_idx = _upstream_pass(trace, configs[members[0]], _lru_hits)
 
         # Sub-group the last level into associativity ladders.
         ladders: dict[tuple[int, int], list[int]] = {}

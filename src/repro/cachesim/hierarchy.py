@@ -5,23 +5,23 @@ L3 — the paper's simulated configuration (§III-A): "Each thread uses private
 L1 caches and a private L2 cache ... We model a 40 MiB, 20-way
 set-associative, unified L3 cache.  All caches use LRU."
 
-Engines:
+:func:`simulate_hierarchy` is exact.  Without inclusion and prefetchers
+it runs level by level through the vectorized LRU kernels of
+:mod:`repro.cachesim.fastsim`: each private cache sees its thread's
+stream filtered by the level above, and the shared L3 the program-order
+merge of every thread's L2 misses, so per-level statistics (order-free
+sums) match the per-access loop bit for bit.  Inclusive hierarchies and
+prefetchers couple the levels access by access; they run the per-access
+loop over :class:`~repro.cachesim.cache.SetAssociativeCache` and count a
+fallback.
 
-* ``engine="exact"`` (alias ``"reference"``) — per-access functional
-  simulation using :class:`~repro.cachesim.cache.SetAssociativeCache`, with
-  optional inclusive back-invalidation and optional per-level prefetchers.
-* ``engine="fast"`` — the same simulation, level by level through the
-  vectorized LRU kernels of :mod:`repro.cachesim.fastsim`.  Exact and
-  bit-identical to ``"exact"`` whenever inclusion and prefetchers are off
-  (per-level statistics are order-independent sums, so replaying each
-  level's filtered stream as a batch loses nothing); an explicit ``"fast"``
-  request with inclusion or prefetchers raises, ``"auto"`` falls back to
-  the exact loop.
-* ``engine="analytic"`` — vectorized fully-associative-LRU approximation via
-  :class:`~repro.cachesim.misscurve.MissRatioCurve`, justified by the paper's
-  Figure 7a (conflict misses beyond L1 under 1%).  Returns an
-  :class:`AnalyticHierarchyResult` that keeps the post-L2 stream and its
-  miss-ratio curve, so L3 capacity sweeps and L4 studies reuse the same pass.
+:func:`analytic_hierarchy` is a different model: a vectorized
+fully-associative-LRU approximation via
+:class:`~repro.cachesim.misscurve.MissRatioCurve`, justified by the
+paper's Figure 7a (conflict misses beyond L1 under 1%).  It returns an
+:class:`AnalyticHierarchyResult` that keeps the post-L2 stream and its
+miss-ratio curve, so L3 capacity sweeps and L4 studies reuse the same
+pass.
 
 For *sweeps* over many configurations of the same trace, prefer
 :func:`repro.cachesim.fused.simulate_hierarchy_sweep`: it shares the
@@ -32,6 +32,7 @@ to calling :func:`simulate_hierarchy` per point.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,8 +87,8 @@ class HierarchyConfig:
 
     ``inclusive`` enables L3 inclusion with back-invalidation of L1/L2 on L3
     eviction — the property the paper notes makes CAT experiments slightly
-    conservative (§IV-B).  Only supported with uniform block sizes and the
-    exact engine.
+    conservative (§IV-B).  Only supported with uniform block sizes; it
+    makes :func:`simulate_hierarchy` run the per-access loop.
     """
 
     l1i: CacheLevelConfig
@@ -184,7 +185,7 @@ class AnalyticHierarchyResult(HierarchyResult):
     """Hierarchy result that retains the post-L2 stream for reuse.
 
     ``l3_curve`` is the miss-ratio curve of the stream entering the L3:
-  	calling :meth:`l3_sweep` evaluates any number of L3 capacities without
+    calling :meth:`l3_sweep` evaluates any number of L3 capacities without
     re-simulating, and :meth:`l3_miss_stream` yields the victim stream an L4
     cache would observe at a chosen L3 capacity.
     """
@@ -241,32 +242,131 @@ class AnalyticHierarchyResult(HierarchyResult):
 def simulate_hierarchy(
     trace: Trace,
     config: HierarchyConfig,
-    engine: str = "exact",
     prefetchers: dict[str, PrefetcherBase] | None = None,
 ) -> HierarchyResult:
-    """Simulate a trace through the hierarchy; see module docstring."""
+    """Simulate a trace through the hierarchy exactly; see module docstring."""
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
-    if engine in ("exact", "reference"):
+    if config.inclusive or prefetchers:
+        fastsim.count_fallback()
         return _simulate_exact(trace, config, prefetchers or {})
-    if engine == "analytic":
-        if prefetchers:
-            raise ConfigurationError(
-                "prefetchers are only supported by the exact engine"
+    levels, l3_idx = _upstream_pass(trace, config, _lru_hits)
+    if config.l3 is not None:
+        levels["L3"] = LevelStats(name="L3")
+        if len(l3_idx):
+            _level_pass(trace, l3_idx, config.l3.geometry, levels["L3"], _lru_hits)
+    return HierarchyResult(levels=levels, instruction_count=trace.instruction_count)
+
+
+def analytic_hierarchy(
+    trace: Trace, config: HierarchyConfig
+) -> AnalyticHierarchyResult:
+    """Fully-associative LRU approximation of the hierarchy, one curve per level.
+
+    Every level's hits come from a :class:`MissRatioCurve` of its input
+    stream at the level's capacity; the L3's curve is kept on the result
+    for capacity sweeps and L4 demand streams.
+    """
+    if len(trace) == 0:
+        raise SimulationError("cannot simulate an empty trace")
+    levels, l3_idx = _upstream_pass(trace, config, _fully_associative_hits)
+    l3_curve = None
+    l3_block = 64
+    if config.l3 is not None:
+        levels["L3"] = LevelStats(name="L3")
+        if len(l3_idx):
+            geo = config.l3.geometry
+            l3_block = geo.block_size
+            l3_curve = MissRatioCurve(lines_of_addrs(trace.addr[l3_idx], l3_block))
+            levels["L3"].record_arrays(
+                trace.segment[l3_idx],
+                trace.kind[l3_idx],
+                l3_curve.hit_mask(geo.capacity_lines),
             )
-        return _simulate_analytic(trace, config)
-    if engine in ("fast", "auto"):
-        resolved = fastsim.resolve_engine(
-            engine, fast_supported=not config.inclusive and not prefetchers
-        )
-        if resolved == "fast":
-            return _simulate_fast(trace, config)
-        return _simulate_exact(trace, config, prefetchers or {})
-    raise ConfigurationError(f"unknown engine {engine!r}")
+    return AnalyticHierarchyResult(
+        levels=levels,
+        instruction_count=trace.instruction_count,
+        trace=trace,
+        l3_indices=l3_idx,
+        l3_curve=l3_curve,
+        l3_block_size=l3_block,
+    )
 
 
 # ----------------------------------------------------------------------
-# Exact engine
+# Level-by-level replay
+# ----------------------------------------------------------------------
+
+#: Hit mask of one cache level over its input lines, from cold.
+_HitFunction = Callable[[np.ndarray, CacheGeometry], np.ndarray]
+
+
+def _lru_hits(lines: np.ndarray, geometry: CacheGeometry) -> np.ndarray:
+    """Exact set-associative LRU (the vectorized kernel)."""
+    return fast_lru_hits(lines, geometry.num_sets, geometry.effective_ways)
+
+
+def _fully_associative_hits(
+    lines: np.ndarray, geometry: CacheGeometry
+) -> np.ndarray:
+    """Fully-associative LRU approximation at the level's capacity."""
+    return MissRatioCurve(lines).hit_mask(geometry.capacity_lines)
+
+
+def _level_pass(
+    trace: Trace,
+    indices: np.ndarray,
+    geometry: CacheGeometry,
+    stats: LevelStats,
+    hits_of: _HitFunction,
+) -> np.ndarray:
+    """Run one cache level over ``trace[indices]``; return the miss indices."""
+    lines = lines_of_addrs(trace.addr[indices], geometry.block_size)
+    hits = hits_of(lines, geometry)
+    stats.record_arrays(trace.segment[indices], trace.kind[indices], hits)
+    return indices[~hits]
+
+
+def _upstream_pass(
+    trace: Trace, config: HierarchyConfig, hits_of: _HitFunction
+) -> tuple[dict[str, LevelStats], np.ndarray]:
+    """Replay the trace through L1-I/L1-D/L2; return their stats + L3 input.
+
+    Each private level sees its thread's stream filtered by the level
+    above (the warm-state handoff of the per-access loop), and the
+    returned indices are the program-order merge of every thread's L2
+    misses.  ``hits_of`` decides each level's hits.
+    """
+    stats = {name: LevelStats(name=name) for name in ("L1I", "L1D", "L2")}
+    is_instr = trace.kind == AccessKind.INSTR
+    l2_parts: list[np.ndarray] = []
+    for t in trace.thread_ids():
+        of_thread = trace.thread == np.uint16(t)
+        misses: list[np.ndarray] = []
+        for name, level, select in (
+            ("L1I", config.l1i, is_instr),
+            ("L1D", config.l1d, ~is_instr),
+        ):
+            idx = np.flatnonzero(of_thread & select)
+            if len(idx):
+                misses.append(
+                    _level_pass(trace, idx, level.geometry, stats[name], hits_of)
+                )
+        if not misses:
+            continue
+        l2_in = np.sort(np.concatenate(misses))
+        if len(l2_in):
+            l2_parts.append(
+                _level_pass(trace, l2_in, config.l2.geometry, stats["L2"], hits_of)
+            )
+    l3_idx = (
+        np.sort(np.concatenate(l2_parts)) if l2_parts else np.empty(0, np.int64)
+    )
+    return stats, l3_idx
+
+
+# ----------------------------------------------------------------------
+# Per-access loop (inclusion and prefetchers)
 # ----------------------------------------------------------------------
 
 
@@ -344,141 +444,3 @@ def _simulate_exact(
                     c.invalidate(victim)
 
     return HierarchyResult(levels=stats, instruction_count=trace.instruction_count)
-
-
-# ----------------------------------------------------------------------
-# Fast engine (vectorized exact)
-# ----------------------------------------------------------------------
-
-
-def _fast_level_pass(
-    trace: Trace,
-    indices: np.ndarray,
-    geometry: CacheGeometry,
-    stats: LevelStats,
-) -> np.ndarray:
-    """Run one level through the vectorized LRU kernel; return miss indices."""
-    lines = lines_of_addrs(trace.addr[indices], geometry.block_size)
-    hits = fast_lru_hits(lines, geometry.num_sets, geometry.effective_ways)
-    stats.record_arrays(trace.segment[indices], trace.kind[indices], hits)
-    return indices[~hits]
-
-
-def _simulate_fast(trace: Trace, config: HierarchyConfig) -> HierarchyResult:
-    """Exact hierarchy simulation, one vectorized batch per cache level.
-
-    Each private cache sees exactly the subsequence of accesses the exact
-    loop would feed it (its thread's stream filtered by the level above),
-    and the shared L3 sees the program-order merge of every thread's L2
-    misses, so each level's hit mask — and therefore every LevelStats
-    count, which is an order-independent sum — matches ``_simulate_exact``
-    exactly.  Only valid without inclusion and prefetchers (the caller
-    guarantees this via :func:`repro.cachesim.fastsim.resolve_engine`).
-    """
-    stats = {
-        name: LevelStats(name=name)
-        for name in ("L1I", "L1D", "L2") + (("L3",) if config.l3 else ())
-    }
-    is_instr = trace.kind == AccessKind.INSTR
-
-    l2_parts: list[np.ndarray] = []
-    for t in trace.thread_ids():
-        of_thread = trace.thread == np.uint16(t)
-        instr_idx = np.flatnonzero(of_thread & is_instr)
-        data_idx = np.flatnonzero(of_thread & ~is_instr)
-        misses: list[np.ndarray] = []
-        if len(instr_idx):
-            misses.append(
-                _fast_level_pass(trace, instr_idx, config.l1i.geometry, stats["L1I"])
-            )
-        if len(data_idx):
-            misses.append(
-                _fast_level_pass(trace, data_idx, config.l1d.geometry, stats["L1D"])
-            )
-        if not misses:
-            continue
-        l2_in = np.sort(np.concatenate(misses))
-        if len(l2_in):
-            l2_parts.append(
-                _fast_level_pass(trace, l2_in, config.l2.geometry, stats["L2"])
-            )
-
-    if config.l3 is not None and l2_parts:
-        l3_idx = np.sort(np.concatenate(l2_parts))
-        if len(l3_idx):
-            _fast_level_pass(trace, l3_idx, config.l3.geometry, stats["L3"])
-
-    return HierarchyResult(levels=stats, instruction_count=trace.instruction_count)
-
-
-# ----------------------------------------------------------------------
-# Analytic engine
-# ----------------------------------------------------------------------
-
-
-def _level_pass(
-    trace: Trace,
-    indices: np.ndarray,
-    geometry: CacheGeometry,
-    stats: LevelStats,
-) -> np.ndarray:
-    """Run one cache level analytically; return the miss indices."""
-    lines = lines_of_addrs(trace.addr[indices], geometry.block_size)
-    curve = MissRatioCurve(lines)
-    hits = curve.hit_mask(geometry.capacity_lines)
-    stats.record_arrays(trace.segment[indices], trace.kind[indices], hits)
-    return indices[~hits]
-
-
-def _simulate_analytic(trace: Trace, config: HierarchyConfig) -> HierarchyResult:
-    stats = {
-        name: LevelStats(name=name)
-        for name in ("L1I", "L1D", "L2") + (("L3",) if config.l3 else ())
-    }
-    is_instr = trace.kind == AccessKind.INSTR
-
-    l2_parts: list[np.ndarray] = []
-    for t in trace.thread_ids():
-        of_thread = trace.thread == np.uint16(t)
-        instr_idx = np.flatnonzero(of_thread & is_instr)
-        data_idx = np.flatnonzero(of_thread & ~is_instr)
-        misses: list[np.ndarray] = []
-        if len(instr_idx):
-            misses.append(
-                _level_pass(trace, instr_idx, config.l1i.geometry, stats["L1I"])
-            )
-        if len(data_idx):
-            misses.append(
-                _level_pass(trace, data_idx, config.l1d.geometry, stats["L1D"])
-            )
-        if not misses:
-            continue
-        l2_in = np.sort(np.concatenate(misses))
-        if len(l2_in):
-            l2_parts.append(
-                _level_pass(trace, l2_in, config.l2.geometry, stats["L2"])
-            )
-
-    l3_idx = (
-        np.sort(np.concatenate(l2_parts)) if l2_parts else np.empty(0, np.int64)
-    )
-    l3_curve = None
-    l3_block = 64
-    if config.l3 is not None and len(l3_idx):
-        geo = config.l3.geometry
-        l3_block = geo.block_size
-        lines = lines_of_addrs(trace.addr[l3_idx], geo.block_size)
-        l3_curve = MissRatioCurve(lines)
-        hits = l3_curve.hit_mask(geo.capacity_lines)
-        stats["L3"].record_arrays(
-            trace.segment[l3_idx], trace.kind[l3_idx], hits
-        )
-
-    return AnalyticHierarchyResult(
-        levels=stats,
-        instruction_count=trace.instruction_count,
-        trace=trace,
-        l3_indices=l3_idx,
-        l3_curve=l3_curve,
-        l3_block_size=l3_block,
-    )

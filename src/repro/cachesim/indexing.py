@@ -1,6 +1,6 @@
-"""Shared block/set index math for every cache engine.
+"""Shared block/set index math for every cache simulator.
 
-Both simulation engines — the reference per-access simulator in
+Both implementations of exact simulation — the per-access simulator in
 :mod:`repro.cachesim.cache` and the vectorized kernels in
 :mod:`repro.cachesim.fastsim` — as well as the direct-mapped L4 model and
 the hierarchy drivers need the same two conversions:
@@ -12,8 +12,8 @@ the hierarchy drivers need the same two conversions:
 
 They used to be re-derived at each call site (``block_size.bit_length()
 - 1`` in four modules, bare ``% num_sets`` in three), which is exactly how
-an engine pair drifts apart one off-by-one at a time.  This module is the
-single implementation; the differential suite pins both engines to it.
+two implementations drift apart one off-by-one at a time.  This module is
+the single implementation; the differential suite pins both to it.
 
 The offline simulators also share one grouping step: a stable sort that
 gathers each line's (or each set's) accesses together in program order.

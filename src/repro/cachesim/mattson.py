@@ -6,9 +6,11 @@ implementation is Olken's algorithm: a hash of last-access positions plus a
 Fenwick tree counting "positions that are currently the most recent access
 of their line", so each stack distance is a prefix-sum query.
 
-This engine is exact but runs a Python loop per access; use it for traces up
-to a few hundred thousand accesses (tests, validation, small studies) and
-:mod:`repro.cachesim.misscurve` for the GiB-scale sweeps.
+The two distance functions here are exact but run a Python loop per access;
+they are the reference the vectorized kernels of
+:mod:`repro.cachesim.fastsim` are tested against.  The hit-rate helpers
+run those kernels, and :mod:`repro.cachesim.misscurve` serves the
+GiB-scale sweeps.
 """
 
 from __future__ import annotations
@@ -109,15 +111,14 @@ def hit_rate_for_ways(
     lines: np.ndarray,
     num_sets: int,
     ways_ladder: list[int] | np.ndarray,
-    engine: str = "reference",
 ) -> np.ndarray:
     """Exact set-associative LRU hit rates for several ways at once.
 
     One stack-distance pass serves the whole associativity ladder (per-set
-    LRU inclusion); with ``engine="fast"``/``"auto"`` the distances come
-    from the vectorized grouped kernel behind
-    :func:`repro.cachesim.fastsim.fast_lru_hits_ladder`, bit-identical to
-    the reference loop here.  Hit rates are returned in ladder order.
+    LRU inclusion): the distances come from the vectorized grouped kernel
+    behind :func:`repro.cachesim.fastsim.fast_lru_hits_ladder`,
+    bit-identical to :func:`set_stack_distances`.  Hit rates are returned
+    in ladder order.
     """
     from repro.cachesim import fastsim
 
@@ -126,29 +127,22 @@ def hit_rate_for_ways(
     ways = np.asarray(ways_ladder, np.int64)
     if len(ways) == 0 or (ways <= 0).any():
         raise TraceError("ways_ladder must be non-empty and positive")
-    if fastsim.resolve_engine(engine) == "fast":
-        masks = fastsim.fast_lru_hits_ladder(
-            np.asarray(lines, np.int64), num_sets, ways
-        )
-        return np.count_nonzero(masks, axis=1) / len(lines)
-    distances = set_stack_distances(lines, num_sets)
-    finite = np.sort(distances[distances != COLD])
-    hits = np.searchsorted(finite, ways, side="right")
-    return hits / len(lines)
+    masks = fastsim.fast_lru_hits_ladder(
+        np.asarray(lines, np.int64), num_sets, ways
+    )
+    return np.count_nonzero(masks, axis=1) / len(lines)
 
 
 def hit_rate_for_capacities(
     lines: np.ndarray,
     capacities_lines: np.ndarray | list[int],
-    engine: str = "reference",
 ) -> np.ndarray:
     """Exact fully-associative LRU hit rates for several capacities at once.
 
-    ``capacities_lines`` are capacities expressed in cache lines.  With
-    ``engine="fast"`` (or ``"auto"``) the distances come from the
-    vectorized single-pass kernel
+    ``capacities_lines`` are capacities expressed in cache lines.  The
+    distances come from the vectorized single-pass kernel
     :func:`repro.cachesim.fastsim.fast_stack_distances`, which is
-    bit-identical to :func:`stack_distances`; the histogram math is shared.
+    bit-identical to :func:`stack_distances`.
     """
     from repro.cachesim import fastsim
 
@@ -157,10 +151,7 @@ def hit_rate_for_capacities(
     capacities = np.asarray(capacities_lines, np.int64)
     if (capacities <= 0).any():
         raise TraceError("capacities must be positive")
-    if fastsim.resolve_engine(engine) == "fast":
-        distances = fastsim.fast_stack_distances(np.asarray(lines, np.int64))
-    else:
-        distances = stack_distances(lines)
+    distances = fastsim.fast_stack_distances(np.asarray(lines, np.int64))
     finite = distances[distances != COLD]
     if len(finite) == 0:
         return np.zeros(len(capacities), float)

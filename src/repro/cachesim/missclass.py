@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
-from repro.cachesim.mattson import COLD, stack_distances
+from repro.cachesim.cache import CacheGeometry
+from repro.cachesim.fastsim import COLD, fast_lru_hits, fast_stack_distances
 from repro.errors import TraceError
 
 
@@ -57,31 +57,21 @@ class MissBreakdown:
         return getattr(self, kind) / self.misses
 
 
-def classify_misses(
-    lines: np.ndarray, geometry: CacheGeometry, engine: str = "reference"
-) -> MissBreakdown:
+def classify_misses(lines: np.ndarray, geometry: CacheGeometry) -> MissBreakdown:
     """Classify every miss of one cache over a line stream.
 
-    Runs the exact set-associative simulation and the exact stack-distance
-    analysis.  With ``engine="reference"`` both run as per-access Python
-    loops, so that path is intended for streams up to a few hundred
-    thousand accesses; ``engine="fast"``/``"auto"`` route both through the
-    bit-identical vectorized kernels in :mod:`repro.cachesim.fastsim`.
+    Runs the exact set-associative LRU simulation and the exact
+    stack-distance analysis, both through the vectorized kernels of
+    :mod:`repro.cachesim.fastsim` (bit-identical to the per-access
+    :class:`~repro.cachesim.cache.SetAssociativeCache` and
+    :func:`~repro.cachesim.mattson.stack_distances`).
     """
-    from repro.cachesim import fastsim
-
     n = len(lines)
     if n == 0:
         raise TraceError("cannot classify an empty stream")
-    if fastsim.resolve_engine(engine) == "fast":
-        lines64 = np.asarray(lines, np.int64)
-        hits = fastsim.fast_lru_hits(
-            lines64, geometry.num_sets, geometry.effective_ways
-        )
-        distances = fastsim.fast_stack_distances(lines64)
-    else:
-        hits = SetAssociativeCache(geometry).simulate(lines)
-        distances = stack_distances(lines)
+    lines64 = np.asarray(lines, np.int64)
+    hits = fast_lru_hits(lines64, geometry.num_sets, geometry.effective_ways)
+    distances = fast_stack_distances(lines64)
     capacity_lines = geometry.capacity_lines
 
     is_miss = ~hits

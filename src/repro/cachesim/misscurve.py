@@ -109,7 +109,7 @@ class MissRatioCurve:
         positions yields the same ``(order, sorted_lines)`` a fresh
         ``MissRatioCurve(lines[mask])`` would compute — the derived curve
         is bit-identical to a fresh one (the differential suite pins
-        this).  Used by the fused composition engine to build each level's
+        this).  Used by stream composition to build each level's
         miss-stream curve in O(n) instead of O(n log n).
         """
         mask = np.asarray(mask, bool)
@@ -179,8 +179,8 @@ class MissRatioCurve:
         """Vectorized :meth:`footprint_clamped` over an array of windows.
 
         Elementwise bit-identical to the scalar method (same clamping
-        branches, same float64 arithmetic); used by the fast engine's
-        lockstep capacity solves in :mod:`repro.cachesim.composition`.
+        branches, same float64 arithmetic); used by the lockstep capacity
+        solves in :mod:`repro.cachesim.composition`.
         """
         w = np.asarray(windows, np.float64)
         out = np.empty(w.shape, np.float64)
@@ -294,29 +294,16 @@ class MissRatioCurve:
         )
         return hits / self._n
 
-    def hit_rates(
-        self,
-        capacities_lines: np.ndarray | list[int],
-        engine: str = "reference",
-    ) -> np.ndarray:
+    def hit_rates(self, capacities_lines: np.ndarray | list[int]) -> np.ndarray:
         """Hit rates at several capacities.
 
-        ``engine="reference"`` solves each capacity's window with the
-        scalar binary search; ``"fast"``/``"auto"`` solve all of them in
-        one lockstep search (:meth:`windows_for_capacities`) —
-        bit-identical by construction.
+        All windows are solved in one lockstep search
+        (:meth:`windows_for_capacities`), bit-identical to calling
+        :meth:`hit_rate` per capacity.
         """
-        from repro.cachesim import fastsim
-
-        if fastsim.resolve_engine(engine) == "fast":
-            windows = self.windows_for_capacities(capacities_lines)
-            hits = np.searchsorted(
-                self._reuse_sorted_nonzero, windows, side="right"
-            )
-            return hits / self._n
-        return np.array(
-            [self.hit_rate(int(c)) for c in np.asarray(capacities_lines)], float
-        )
+        windows = self.windows_for_capacities(capacities_lines)
+        hits = np.searchsorted(self._reuse_sorted_nonzero, windows, side="right")
+        return hits / self._n
 
     def miss_count(self, capacity_lines: int) -> int:
         """Number of misses at one capacity (cold + capacity misses)."""

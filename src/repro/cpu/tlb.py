@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._units import KiB, MiB, is_power_of_two
-from repro.cachesim import fastsim
-from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
+from repro.cachesim.fastsim import fast_lru_hits
 from repro.errors import ConfigurationError
 from repro.memtrace.trace import Trace
 
@@ -89,9 +88,7 @@ class TlbResult:
         return self.stlb_mpki / 1000.0 * self.config.walk_ns
 
 
-def simulate_tlb(
-    trace: Trace, config: TlbConfig, engine: str = "reference"
-) -> TlbResult:
+def simulate_tlb(trace: Trace, config: TlbConfig) -> TlbResult:
     """Simulate the two-level TLB over every access of a trace.
 
     Per-thread TLBs would be more faithful for many-thread traces; the
@@ -100,54 +97,23 @@ def simulate_tlb(
     this function models.
 
     Both TLB levels are fully-associative LRU caches of page numbers, so a
-    hit is exactly "stack distance <= entries" and ``engine="fast"`` (or
-    ``"auto"``) can replay each level through the vectorized single-set
-    kernel :func:`repro.cachesim.fastsim.fast_lru_hits` — the STLB sees
-    precisely the L1-miss subsequence.  Miss counts are bit-identical to
-    the reference per-access loop.
+    hit is exactly "stack distance <= entries": each level replays through
+    the vectorized single-set kernel
+    :func:`repro.cachesim.fastsim.fast_lru_hits`, the STLB over precisely
+    the L1-miss subsequence.  Miss counts are bit-identical to a
+    per-access loop over two fully-associative caches.
     """
     if len(trace) == 0:
         raise ConfigurationError("cannot simulate TLB over an empty trace")
     shift = config.page_size.bit_length() - 1
-    if fastsim.resolve_engine(engine) == "fast":
-        pages64 = (trace.addr >> np.uint64(shift)).astype(np.int64)
-        l1_hits = fastsim.fast_lru_hits(pages64, 1, config.l1_entries)
-        missed = pages64[~l1_hits]
-        l1_misses = len(missed)
-        if l1_misses:
-            stlb_hits = fastsim.fast_lru_hits(missed, 1, config.stlb_entries)
-            stlb_misses = l1_misses - int(np.count_nonzero(stlb_hits))
-        else:
-            stlb_misses = 0
-        return TlbResult(
-            config=config,
-            accesses=len(trace),
-            l1_misses=l1_misses,
-            stlb_misses=stlb_misses,
-            instruction_count=trace.instruction_count,
-        )
-    l1 = SetAssociativeCache(
-        CacheGeometry.fully_associative(
-            config.l1_entries * config.page_size, config.page_size
-        )
-    )
-    stlb = SetAssociativeCache(
-        CacheGeometry.fully_associative(
-            config.stlb_entries * config.page_size, config.page_size
-        )
-    )
-    pages = (trace.addr >> shift).astype(object)
-
-    l1_misses = 0
+    pages = (trace.addr >> np.uint64(shift)).astype(np.int64)
+    l1_hits = fast_lru_hits(pages, 1, config.l1_entries)
+    missed = pages[~l1_hits]
+    l1_misses = len(missed)
     stlb_misses = 0
-    for page in pages.tolist():
-        hit, __ = l1.access(page)
-        if hit:
-            continue
-        l1_misses += 1
-        hit, __ = stlb.access(page)
-        if not hit:
-            stlb_misses += 1
+    if l1_misses:
+        stlb_hits = fast_lru_hits(missed, 1, config.stlb_entries)
+        stlb_misses = l1_misses - int(np.count_nonzero(stlb_hits))
     return TlbResult(
         config=config,
         accesses=len(trace),

@@ -134,7 +134,7 @@ def l4_block_rows(result: ExperimentResult, preset: RunPreset) -> None:
 def composition_vs_flat_rows(result: ExperimentResult, preset: RunPreset) -> None:
     """The composed engine against a literal flat trace at matched rates."""
     from repro.cachesim.composed import ComposedHierarchy, SegmentRates
-    from repro.cachesim.hierarchy import HierarchyConfig, simulate_hierarchy
+    from repro.cachesim.hierarchy import HierarchyConfig, analytic_hierarchy
 
     rates = SegmentRates(code=100.0, heap=40.0, shard=25.0, stack=15.0)
     profile = get_profile("s1-leaf")
@@ -151,7 +151,7 @@ def composition_vs_flat_rows(result: ExperimentResult, preset: RunPreset) -> Non
     )
 
     trace = generate_trace(memory, 150_000, seed=preset.seed, threads=1)
-    flat = simulate_hierarchy(trace, hierarchy, engine="analytic")
+    flat = analytic_hierarchy(trace, hierarchy)
 
     streams = generate_segment_streams(
         memory,

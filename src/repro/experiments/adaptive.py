@@ -102,9 +102,7 @@ def accuracy_rows(
     """SHARDS @ R=0.01 vs exact Mattson on the preset trace set."""
     worst = 0.0
     for family, lines in _accuracy_traces(preset).items():
-        exact = mattson.hit_rate_for_capacities(
-            lines, _ACCURACY_CAPS, engine=preset.engine
-        )
+        exact = mattson.hit_rate_for_capacities(lines, _ACCURACY_CAPS)
         ensemble = ShardsEnsemble(
             rate=_RATE, replicas=_REPLICAS, seed=preset.seed
         )
@@ -231,9 +229,7 @@ def control_rows(
                 )
                 counts.append(len(lines))
                 ladders.append(
-                    mattson.hit_rate_for_ways(
-                        lines, _WAY_LINES, ladder_ways, engine=preset.engine
-                    )
+                    mattson.hit_rate_for_ways(lines, _WAY_LINES, ladder_ways)
                 )
             epoch_ladders.append(ladders)
             epoch_counts.append(counts)

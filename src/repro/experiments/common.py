@@ -72,15 +72,6 @@ class RunPreset:
     seed: int = 7
     #: Instruction budget for branch-predictor simulations.
     branch_instructions: int = 800_000
-    #: Simulation-engine selection for the cachesim entry points
-    #: (``"reference" | "fast" | "auto"``); every engine is bit-identical,
-    #: so this only trades wall time.
-    engine: str = "auto"
-    #: Campaign-level fusion: share one trace replay across a sweep's
-    #: points (one-pass Mattson ladders, memoized L3 window solves,
-    #: batched ``solve_l3_sweep``).  Bit-identical to per-point runs —
-    #: see docs/PERFORMANCE.md — so disabling it only costs wall time.
-    fused: bool = True
     #: Per-preset composed-run memo; excluded from equality/hash/repr and
     #: rebuilt fresh by ``dataclasses.replace`` and unpickling, so caches
     #: never alias across campaigns or processes.
@@ -89,17 +80,11 @@ class RunPreset:
     )
 
     def __post_init__(self) -> None:
-        from repro.cachesim.fastsim import ENGINES
-
         if not 0 < self.scale <= 1:
             raise ConfigurationError(f"scale must be in (0, 1], got {self.scale}")
         for name in ("code_events", "heap_events", "shard_events", "stack_events"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
 
     @classmethod
     def quick(cls) -> "RunPreset":
@@ -290,8 +275,6 @@ def composed_run(
         profile.rates,
         config,
         threads=threads,
-        engine=preset.engine,
-        fused=preset.fused,
     )
     cached_runs[key] = run
     return run

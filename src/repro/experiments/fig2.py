@@ -114,11 +114,10 @@ def prefetch_rows(result: ExperimentResult, preset: RunPreset) -> None:
     )
     config = HierarchyConfig.plt1_like().scaled(preset.scale)
 
-    base = simulate_hierarchy(trace, config, engine=preset.engine)
+    base = simulate_hierarchy(trace, config)
     prefetched = simulate_hierarchy(
         trace,
         config,
-        engine="exact",
         prefetchers={
             "L2": StreamPrefetcher(degree=2),
             "L1D": NextLinePrefetcher(),

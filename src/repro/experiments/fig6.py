@@ -40,14 +40,11 @@ def run(preset: RunPreset | None = None) -> ExperimentResult:
             stack=round(run_.mpki(level, Segment.STACK), 2),
         )
 
-    # Panels (b) and (c): capacity sweep in paper-equivalent MiB.  With
-    # campaign fusion on, every sweep capacity's window is solved in one
-    # lockstep batch up front — bit-identical to the per-point solves the
-    # loop below would otherwise trigger (docs/PERFORMANCE.md).
-    if preset.fused:
-        run_.solve_l3_sweep(
-            [max(1, int(m * MiB * preset.scale)) for m in SWEEP_MIB]
-        )
+    # Panels (b) and (c): capacity sweep in paper-equivalent MiB.  Every
+    # sweep capacity's window is solved in one lockstep batch up front —
+    # bit-identical to the per-point solves the loop below would otherwise
+    # trigger (docs/PERFORMANCE.md).
+    run_.solve_l3_sweep([max(1, int(m * MiB * preset.scale)) for m in SWEEP_MIB])
     for paper_mib in SWEEP_MIB:
         capacity = max(1, int(paper_mib * MiB * preset.scale))
         hits = {

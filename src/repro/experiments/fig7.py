@@ -6,16 +6,14 @@
 (b) MPKI vs. block size (32 B – 1 KiB): the 64-byte default captures most
     spatial locality.
 
-Both use the exact set-associative simulation on a reduced trace; the
-preset's ``engine`` picks the reference loop or the bit-identical
-vectorized kernels.
+Both use the exact set-associative simulation on a reduced trace.
 """
 
 from __future__ import annotations
 
 from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.fused import simulate_hierarchy_sweep
-from repro.cachesim.hierarchy import HierarchyConfig, simulate_hierarchy
+from repro.cachesim.hierarchy import HierarchyConfig
 from repro.cachesim.missclass import classify_misses
 from repro.experiments.common import ExperimentResult, RunPreset
 from repro.memtrace.synthetic import generate_trace
@@ -30,8 +28,8 @@ _BLOCK_SIZES = (32, 64, 128, 256, 512, 1024)  # repro: noqa RPR001 -- byte sweep
 def _trace(preset: RunPreset, instructions: int):
     """Reduced S1-leaf trace shared by the panels.
 
-    Panels (a) and (b) replay the same 60k-instruction trace; with
-    campaign fusion on it is generated once and memoized on the preset's
+    Panels (a) and (b) replay the same 60k-instruction trace; it is
+    generated once and memoized on the preset's
     :class:`~repro.experiments.common.RunCache` (same determinism contract
     as the composed-run memo: the trace is a pure function of the key).
     """
@@ -43,8 +41,7 @@ def _trace(preset: RunPreset, instructions: int):
     trace = generate_trace(
         profile.memory.scaled(preset.scale), instructions, seed=preset.seed, threads=2
     )
-    if preset.fused:
-        preset.run_cache.traces[key] = trace
+    preset.run_cache.traces[key] = trace
     return trace
 
 
@@ -58,15 +55,9 @@ def associativity_rows(result: ExperimentResult, preset: RunPreset) -> None:
         l2=_fully(config.l2),
         l3=_fully(config.l3),
     )
-    if preset.fused:
-        # One fused sweep covers both points (bit-identical to the two
-        # per-point replays below; see docs/PERFORMANCE.md).
-        base, ideal = simulate_hierarchy_sweep(
-            trace, [config, full], engine=preset.engine
-        )
-    else:
-        base = simulate_hierarchy(trace, config, engine=preset.engine)
-        ideal = simulate_hierarchy(trace, full, engine=preset.engine)
+    # One fused sweep covers both points (bit-identical to two per-point
+    # replays; see docs/PERFORMANCE.md).
+    base, ideal = simulate_hierarchy_sweep(trace, [config, full])
 
     for level in ("L1I", "L1D", "L2", "L3"):
         base_misses = base.level(level).total_misses
@@ -101,9 +92,7 @@ def block_size_rows(result: ExperimentResult, preset: RunPreset) -> None:
     l1d_size = HierarchyConfig.plt1_like().l1d.geometry.size
     for block in _BLOCK_SIZES:
         geometry = CacheGeometry(size=l1d_size, assoc=8, block_size=block)
-        breakdown = classify_misses(
-            data.lines(block), geometry, engine=preset.engine
-        )
+        breakdown = classify_misses(data.lines(block), geometry)
         mpki = breakdown.misses / (instructions / 1000.0)
         result.add(
             series="fig7b-block-size",
@@ -126,9 +115,7 @@ def miss_type_rows(result: ExperimentResult, preset: RunPreset) -> None:
     config = HierarchyConfig.plt1_like().scaled(preset.scale)
     for segment in (Segment.HEAP, Segment.SHARD):
         lines = trace.only_segment(segment).lines(64)
-        breakdown = classify_misses(
-            lines, config.l3.geometry, engine=preset.engine
-        )
+        breakdown = classify_misses(lines, config.l3.geometry)
         result.add(
             series="miss-types-l3",
             x=segment.name.lower(),

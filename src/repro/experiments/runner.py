@@ -7,7 +7,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -215,15 +214,6 @@ def main(argv: list[str] | None = None) -> int:
         help="content-addressed artifact cache for generated traces; "
         "warm reruns skip synthetic-trace generation",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("reference", "fast", "auto"),
-        default="auto",
-        metavar="ENGINE",
-        help="cache-simulation engine: 'reference' (per-access loops), "
-        "'fast' (vectorized kernels), or 'auto' (fast where exact, "
-        "default); results are byte-identical either way",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -232,8 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     preset = RunPreset.standard() if args.standard else RunPreset.quick()
-    if args.engine != preset.engine:
-        preset = dataclasses.replace(preset, engine=args.engine)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 

@@ -1,16 +1,19 @@
-"""Differential verification of the fast engine against the reference.
+"""Differential verification of the vectorized kernels against the loops.
 
 The equivalence contract of :mod:`repro.cachesim.fastsim`: for every
 geometry (including CAT way-masking) and every trace, the vectorized
-kernels produce exactly the hits, misses, evictions, and final cache
-contents of the per-access reference simulator.  Hypothesis drives random
-geometries and streams; the adversarial classes the cascade kernel could
-plausibly get wrong — single-set storms, strided streams, sawtooth
-working sets, the wide-ways stack-distance path — are pinned explicitly.
+kernels produce exactly the hits, misses, and final cache contents of
+the per-access reference simulator (``SetAssociativeCache.access`` and
+the Mattson loops).  Hypothesis drives random geometries and streams;
+the adversarial classes the cascade kernel could plausibly get wrong —
+single-set storms, strided streams, sawtooth working sets, the wide-ways
+stack-distance path — are pinned explicitly.
 
 Run with ``HYPOTHESIS_PROFILE=ci`` for the heavy fixed-corpus version
 (see ``tests/conftest.py``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,16 +25,22 @@ from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.cachesim.fastsim import (
     CASCADE_MAX_WAYS,
-    FastSetAssociativeCache,
-    fast_direct_mapped_hits,
     fast_lru_hits,
     fast_lru_hits_for_sets,
     fast_stack_distances,
 )
-from repro.cachesim.mattson import hit_rate_for_capacities, stack_distances
-from repro.cachesim.missclass import classify_misses
+from repro.cachesim.hierarchy import (
+    HierarchyConfig,
+    _simulate_exact,
+    simulate_hierarchy,
+)
+from repro.cachesim.mattson import COLD, hit_rate_for_capacities, stack_distances
+from repro.cachesim.missclass import MissBreakdown, classify_misses
 from repro.cachesim.misscurve import MissRatioCurve
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import TraceError
+from repro.memtrace.synthetic import generate_trace
+from repro.workloads.profiles import get_profile
+from tests.cachesim.loop_oracles import access_hits, lru_hits
 
 
 @st.composite
@@ -49,25 +58,48 @@ def geometries(draw):
     )
 
 
+# Negative ids included: no kernel may reserve a line id as a sentinel.
 line_streams = st.lists(
-    st.integers(min_value=0, max_value=300), min_size=1, max_size=400
+    st.integers(min_value=-300, max_value=300), min_size=1, max_size=400
 ).map(lambda values: np.asarray(values, np.int64))
-
-
-def _reference_hits(geometry, lines):
-    return SetAssociativeCache(geometry).simulate(lines, engine="reference")
 
 
 def _reference_contents(geometry, lines):
     cache = SetAssociativeCache(geometry)
-    cache.simulate(lines, engine="reference")
+    access_hits(cache, lines)
     return cache._sets
+
+
+def _direct_mapped_loop(lines, num_sets):
+    """Direct-mapped hit mask, one access at a time."""
+    tags = {}
+    hits = []
+    for line in lines.tolist():
+        hits.append(tags.get(line % num_sets) == line)
+        tags[line % num_sets] = line
+    return np.array(hits, bool)
+
+
+def _classify_loop(lines, geometry):
+    """The 3C breakdown from the access loop and the Mattson loop."""
+    hits = lru_hits(geometry, lines)
+    distances = stack_distances(lines)
+    miss = ~hits
+    cold = miss & (distances == COLD)
+    capacity = miss & (distances != COLD) & (distances > geometry.capacity_lines)
+    return MissBreakdown(
+        accesses=len(lines),
+        hits=int(np.count_nonzero(hits)),
+        cold=int(np.count_nonzero(cold)),
+        capacity=int(np.count_nonzero(capacity)),
+        conflict=int(np.count_nonzero(miss & ~cold & ~capacity)),
+    )
 
 
 class TestRandomizedDifferential:
     @given(geometries(), line_streams)
     def test_hit_mask_matches_reference(self, geometry, lines):
-        expected = _reference_hits(geometry, lines)
+        expected = lru_hits(geometry, lines)
         got = fast_lru_hits(
             lines, geometry.num_sets, geometry.effective_ways
         )
@@ -75,57 +107,41 @@ class TestRandomizedDifferential:
 
     @given(geometries(), line_streams)
     def test_stateful_cache_matches_access_for_access(self, geometry, lines):
-        """(hit, victim) of every single access, plus running contents."""
+        """One-line ``simulate`` batches track the access loop step by step."""
         ref = SetAssociativeCache(geometry)
-        fast = FastSetAssociativeCache(geometry)
-        for i, line in enumerate(lines.tolist()):
-            assert ref.access(line) == fast.access(line), f"access {i}"
-        for set_idx in range(geometry.num_sets):
-            assert ref._sets[set_idx] == fast.set_contents(set_idx)
+        batched = SetAssociativeCache(geometry)
+        for i, line in enumerate(lines[:40].tolist()):
+            expected = ref.access(line)[0]
+            assert batched.simulate(np.array([line], np.int64))[0] == expected, i
+            assert ref._sets == batched._sets, f"access {i}"
 
     @given(geometries(), line_streams, line_streams)
     def test_warm_batches_match_reference(self, geometry, first, second):
         """Batch replay continues exactly from pre-existing state."""
         ref = SetAssociativeCache(geometry)
-        fast = FastSetAssociativeCache(geometry)
+        batched = SetAssociativeCache(geometry)
         for batch in (first, second):
-            expected = ref.simulate(batch, engine="reference")
-            got = fast.access_batch(batch)
-            assert np.array_equal(expected, got)
-        assert ref.resident_lines == fast.resident_lines
-        for set_idx in range(geometry.num_sets):
-            assert ref._sets[set_idx] == fast.set_contents(set_idx)
-
-    @given(geometries(), line_streams)
-    def test_engine_parameter_preserves_state(self, geometry, lines):
-        """`simulate(engine='fast')` leaves identical list-of-lists state."""
-        ref = SetAssociativeCache(geometry)
-        fast = SetAssociativeCache(geometry)
-        half = len(lines) // 2
-        for chunk in (lines[:half], lines[half:]):
-            a = ref.simulate(chunk, engine="reference")
-            b = fast.simulate(chunk, engine="fast")
-            assert np.array_equal(a, b)
-        assert ref._sets == fast._sets
+            expected = access_hits(ref, batch)
+            assert np.array_equal(expected, batched.simulate(batch))
+        assert ref.resident_lines == batched.resident_lines
+        assert ref._sets == batched._sets
 
     @given(geometries(), line_streams)
     def test_invalidation_interleaved(self, geometry, lines):
         """CAT-style invalidation between batches stays in lockstep."""
         ref = SetAssociativeCache(geometry)
-        fast = FastSetAssociativeCache(geometry)
+        batched = SetAssociativeCache(geometry)
         half = len(lines) // 2
         assert np.array_equal(
-            ref.simulate(lines[:half], engine="reference"),
-            fast.access_batch(lines[:half]),
+            access_hits(ref, lines[:half]), batched.simulate(lines[:half])
         )
         for line in lines.tolist()[::7]:
-            assert ref.invalidate(line) == fast.invalidate(line)
-            assert ref.contains(line) == fast.contains(line)
+            assert ref.invalidate(line) == batched.invalidate(line)
+            assert ref.contains(line) == batched.contains(line)
         assert np.array_equal(
-            ref.simulate(lines[half:], engine="reference"),
-            fast.access_batch(lines[half:]),
+            access_hits(ref, lines[half:]), batched.simulate(lines[half:])
         )
-        assert ref.resident_lines == fast.resident_lines
+        assert ref._sets == batched._sets
 
     @given(line_streams)
     def test_stack_distances_match_reference(self, lines):
@@ -135,31 +151,66 @@ class TestRandomizedDifferential:
 
     @given(line_streams, st.integers(1, 128))
     def test_direct_mapped_matches_reference(self, lines, num_sets):
-        expected = simulate_direct_mapped(lines, num_sets, engine="reference")
-        # A tiny chunk size exercises the cross-chunk tag carry.
-        got = fast_direct_mapped_hits(lines, num_sets, chunk=17)
-        assert np.array_equal(expected, got)
+        assert np.array_equal(
+            _direct_mapped_loop(lines, num_sets),
+            simulate_direct_mapped(lines, num_sets),
+        )
 
     @given(geometries(), line_streams)
     def test_classify_misses_engines_agree(self, geometry, lines):
-        assert classify_misses(
-            lines, geometry, engine="reference"
-        ) == classify_misses(lines, geometry, engine="fast")
+        """The vectorized breakdown equals the loops' one."""
+        assert classify_misses(lines, geometry) == _classify_loop(lines, geometry)
 
     @given(line_streams)
     def test_mattson_capacity_rates_engines_agree(self, lines):
+        """Vectorized capacity rates equal per-capacity counts of the loop."""
         capacities = [1, 2, 3, 8, 31, 400]
-        a = hit_rate_for_capacities(lines, capacities, engine="reference")
-        b = hit_rate_for_capacities(lines, capacities, engine="fast")
-        assert a.tobytes() == b.tobytes()
+        distances = stack_distances(lines)
+        expected = np.array(
+            [np.count_nonzero(distances <= c) / len(lines) for c in capacities]
+        )
+        got = hit_rate_for_capacities(lines, capacities)
+        assert got.tobytes() == expected.tobytes()
 
     @given(line_streams)
     def test_misscurve_batch_rates_bit_identical(self, lines):
         curve = MissRatioCurve(lines)
         capacities = [1, 2, 5, 17, 120, 4000]
-        a = curve.hit_rates(capacities, engine="reference")
-        b = curve.hit_rates(capacities, engine="fast")
-        assert a.tobytes() == b.tobytes()
+        expected = np.array([curve.hit_rate(c) for c in capacities])
+        assert curve.hit_rates(capacities).tobytes() == expected.tobytes()
+
+
+class TestHierarchyReplay:
+    """Level-by-level vectorized replay == the per-access hierarchy loop."""
+
+    def test_fig7_shape_matches_loop(self):
+        """Base plus fully-associative hierarchies on a 2-thread trace."""
+        scale = 1 / 64
+        trace = generate_trace(
+            get_profile("s1-leaf").memory.scaled(scale), 8_000, seed=7, threads=2
+        )
+        base = HierarchyConfig.plt1_like().scaled(scale)
+
+        def fully(level):
+            geo = level.geometry
+            return replace(
+                level,
+                geometry=CacheGeometry.fully_associative(geo.size, geo.block_size),
+            )
+
+        full = HierarchyConfig(
+            l1i=fully(base.l1i),
+            l1d=fully(base.l1d),
+            l2=fully(base.l2),
+            l3=fully(base.l3),
+        )
+        for config in (base, full):
+            got = simulate_hierarchy(trace, config)
+            expected = _simulate_exact(trace, config, {})
+            assert list(got.levels) == list(expected.levels)
+            for name, stats in expected.levels.items():
+                assert got.levels[name].accesses.tobytes() == stats.accesses.tobytes()
+                assert got.levels[name].misses.tobytes() == stats.misses.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +251,7 @@ class TestAdversarialTraces:
     )
     def test_adversarial_hit_masks_match(self, geometry):
         for name, lines in _adversarial_traces(geometry).items():
-            expected = _reference_hits(geometry, lines)
+            expected = lru_hits(geometry, lines)
             got = fast_lru_hits(
                 lines, geometry.num_sets, geometry.effective_ways
             )
@@ -211,11 +262,9 @@ class TestAdversarialTraces:
     )
     def test_adversarial_final_contents_match(self, geometry):
         for name, lines in _adversarial_traces(geometry).items():
-            fast = FastSetAssociativeCache(geometry)
-            fast.access_batch(lines)
-            expected = _reference_contents(geometry, lines)
-            for set_idx in range(geometry.num_sets):
-                assert expected[set_idx] == fast.set_contents(set_idx), name
+            batched = SetAssociativeCache(geometry)
+            batched.simulate(lines)
+            assert _reference_contents(geometry, lines) == batched._sets, name
 
     def test_wide_ways_takes_stack_distance_path(self):
         """Geometries past CASCADE_MAX_WAYS stay exact on the other path."""
@@ -224,7 +273,7 @@ class TestAdversarialTraces:
         rng = np.random.default_rng(11)
         lines = rng.integers(0, 5 * CASCADE_MAX_WAYS, 3000).astype(np.int64)
         assert np.array_equal(
-            _reference_hits(geometry, lines),
+            lru_hits(geometry, lines),
             fast_lru_hits(lines, geometry.num_sets, geometry.effective_ways),
         )
 
@@ -236,7 +285,7 @@ class TestAdversarialTraces:
         sets = (lines % num_sets).astype(np.int64)
         geometry = CacheGeometry(size=num_sets * ways * 64, assoc=ways)
         assert np.array_equal(
-            _reference_hits(geometry, lines),
+            lru_hits(geometry, lines),
             fast_lru_hits_for_sets(lines, sets, ways),
         )
 
@@ -338,22 +387,20 @@ class TestMergeCount:
 
 
 # ----------------------------------------------------------------------
-# Engine selection and counters
+# Fallbacks and counters
 # ----------------------------------------------------------------------
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fastsim.resolve_engine("turbo")
-
-    def test_fast_raises_when_unsupported(self):
-        with pytest.raises(ConfigurationError):
-            fastsim.resolve_engine("fast", fast_supported=False)
+    """Requests the kernels cannot serve exactly run the loop and count."""
 
     def test_auto_falls_back_and_counts(self):
+        geometry = CacheGeometry(size=4 * 2 * 64, assoc=2)
+        lines = np.arange(10, dtype=np.int64) % 9
         fastsim.reset_counters()
-        assert fastsim.resolve_engine("auto", fast_supported=False) == "reference"
+        SetAssociativeCache(geometry).simulate(lines)
+        assert fastsim.counters_snapshot()["fallbacks"] == 0
+        SetAssociativeCache(geometry, replacement="fifo").simulate(lines)
         assert fastsim.counters_snapshot()["fallbacks"] == 1
 
     def test_kernels_count_accesses(self):
@@ -362,8 +409,7 @@ class TestEngineSelection:
         fast_lru_hits(lines, 4, 2)
         fast_stack_distances(lines)
         snapshot = fastsim.counters_snapshot()
-        assert snapshot["accesses"] == 200
-        assert snapshot["kernel_calls"] == 2
+        assert snapshot == {"accesses": 200, "kernel_calls": 2, "fallbacks": 0}
 
     def test_record_metrics_publishes_counters(self):
         from repro.obs.metrics import MetricsRegistry
@@ -375,21 +421,40 @@ class TestEngineSelection:
         payload = registry.snapshot().to_dict()
         assert payload["repro.fastsim.accesses"]["value"] == 50
         assert payload["repro.fastsim.kernel_calls"]["value"] == 1
+        assert sorted(k for k in payload if k.startswith("repro.fastsim.")) == [
+            "repro.fastsim.accesses",
+            "repro.fastsim.fallbacks",
+            "repro.fastsim.kernel_calls",
+        ]
 
     def test_non_lru_policies_guarded(self):
+        """FIFO and random replacement replay the access loop exactly."""
         geometry = CacheGeometry(size=4 * 2 * 64, assoc=2)
-        lines = np.arange(10, dtype=np.int64) % 9
-        with pytest.raises(ConfigurationError):
-            SetAssociativeCache(geometry, replacement="fifo").simulate(
-                lines, engine="fast"
+        lines = np.arange(40, dtype=np.int64) % 13
+        for replacement in ("fifo", "random"):
+            expected = access_hits(
+                SetAssociativeCache(geometry, replacement=replacement, seed=3),
+                lines,
             )
-        # "auto" silently falls back and still simulates correctly.
-        expected = SetAssociativeCache(geometry, replacement="fifo").simulate(
-            lines, engine="reference"
+            got = SetAssociativeCache(
+                geometry, replacement=replacement, seed=3
+            ).simulate(lines)
+            assert np.array_equal(expected, got), replacement
+
+    def test_inclusive_and_prefetched_hierarchies_count(self):
+        from repro.cachesim.prefetch import StreamPrefetcher
+        from repro.memtrace.trace import AccessKind, Trace
+
+        trace = Trace(
+            addr=np.arange(64, dtype=np.uint64) * np.uint64(64),
+            kind=np.full(64, int(AccessKind.INSTR), np.uint8),
+            segment=np.zeros(64, np.uint8),
+            thread=np.zeros(64, np.uint16),
         )
-        fallback = SetAssociativeCache(geometry, replacement="fifo").simulate(
-            lines, engine="auto"
-        )
-        assert np.array_equal(expected, fallback)
-        with pytest.raises(ConfigurationError):
-            FastSetAssociativeCache(geometry, replacement="fifo")
+        config = HierarchyConfig.plt1_like().scaled(1 / 256)
+        fastsim.reset_counters()
+        simulate_hierarchy(trace, config)
+        assert fastsim.counters_snapshot()["fallbacks"] == 0
+        simulate_hierarchy(trace, replace(config, inclusive=True))
+        simulate_hierarchy(trace, config, prefetchers={"L2": StreamPrefetcher()})
+        assert fastsim.counters_snapshot()["fallbacks"] == 2

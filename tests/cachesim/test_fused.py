@@ -19,8 +19,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cachesim import fastsim, fused
-from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
+from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.composed import ComposedHierarchy, SegmentRates
+from repro.cachesim.composition import CompositeCache, solve_windows
 from repro.cachesim.fastsim import (
     fast_lru_hits,
     fast_lru_hits_for_sets,
@@ -34,6 +35,7 @@ from repro.cachesim.fused import (
 from repro.cachesim.hierarchy import (
     CacheLevelConfig,
     HierarchyConfig,
+    _simulate_exact,
     simulate_hierarchy,
 )
 from repro.cachesim.mattson import (
@@ -46,6 +48,7 @@ from repro.cachesim.misscurve import MissRatioCurve
 from repro.cpu.tlb import TlbConfig, simulate_tlb
 from repro.errors import ConfigurationError, TraceError
 from repro.memtrace.trace import AccessKind, Segment, Trace
+from tests.cachesim import loop_oracles
 
 line_streams = st.lists(
     st.integers(min_value=0, max_value=300), min_size=1, max_size=400
@@ -127,9 +130,7 @@ class TestMattsonLadder:
     def test_ladder_matches_reference_cache(self, lines, num_sets, ladder):
         for ways, mask in zip(ladder, fast_lru_hits_ladder(lines, num_sets, ladder)):
             geometry = CacheGeometry(num_sets * ways * 64, ways)
-            expected = SetAssociativeCache(geometry).simulate(
-                lines, engine="reference"
-            )
+            expected = loop_oracles.lru_hits(geometry, lines)
             assert np.array_equal(mask, expected)
 
     @given(line_streams, st.integers(1, 32))
@@ -147,9 +148,13 @@ class TestMattsonLadder:
 
     @given(line_streams, st.integers(1, 16), ways_ladders)
     def test_hit_rate_for_ways_engines_agree(self, lines, num_sets, ladder):
-        a = hit_rate_for_ways(lines, num_sets, ladder, engine="reference")
-        b = hit_rate_for_ways(lines, num_sets, ladder, engine="fast")
-        assert a.tobytes() == b.tobytes()
+        """Ladder rates equal per-ways counts of the per-set Mattson loop."""
+        distances = set_stack_distances(lines, num_sets)
+        expected = np.array(
+            [np.count_nonzero(distances <= w) / len(lines) for w in ladder]
+        )
+        got = hit_rate_for_ways(lines, num_sets, ladder)
+        assert got.tobytes() == expected.tobytes()
 
     def test_ladder_rejects_bad_inputs(self):
         lines = np.arange(5, dtype=np.int64)
@@ -169,11 +174,9 @@ class TestFusedSweep:
         base = _tiny_hierarchy()
         configs = [base.with_l3_ways(w) for w in ways]
         for fused_result, config in zip(
-            simulate_hierarchy_sweep(trace, configs, engine="fast"), configs
+            simulate_hierarchy_sweep(trace, configs), configs
         ):
-            _results_equal(
-                fused_result, simulate_hierarchy(trace, config, engine="fast")
-            )
+            _results_equal(fused_result, simulate_hierarchy(trace, config))
 
     @given(traces(), st.lists(st.integers(1, 5), min_size=1, max_size=3))
     def test_capacity_sweep_matches_per_point_exact(self, trace, set_bits):
@@ -182,11 +185,9 @@ class TestFusedSweep:
             base.with_l3_size((1 << bits) * 4 * 64) for bits in set_bits
         ]
         for fused_result, config in zip(
-            simulate_hierarchy_sweep(trace, configs, engine="fast"), configs
+            simulate_hierarchy_sweep(trace, configs), configs
         ):
-            _results_equal(
-                fused_result, simulate_hierarchy(trace, config, engine="exact")
-            )
+            _results_equal(fused_result, _simulate_exact(trace, config, {}))
 
     @given(traces())
     def test_mixed_upstream_groups_and_no_l3(self, trace):
@@ -198,32 +199,21 @@ class TestFusedSweep:
         no_l3 = dataclasses.replace(base, l3=None)
         configs = [base, bigger_l2, no_l3, base.with_l3_ways(1)]
         for fused_result, config in zip(
-            simulate_hierarchy_sweep(trace, configs, engine="fast"), configs
+            simulate_hierarchy_sweep(trace, configs), configs
         ):
-            _results_equal(
-                fused_result, simulate_hierarchy(trace, config, engine="fast")
-            )
+            _results_equal(fused_result, _simulate_exact(trace, config, {}))
 
     @given(traces())
     def test_auto_reference_fallback_on_inclusive(self, trace):
-        inclusive = dataclasses.replace(_tiny_hierarchy(), inclusive=True)
+        """Inclusive points run the per-access loop, one fallback each."""
+        base = _tiny_hierarchy()
+        inclusive = dataclasses.replace(base, inclusive=True)
         fastsim.reset_counters()
-        (got,) = simulate_hierarchy_sweep(trace, [inclusive], engine="auto")
-        assert fastsim.counters_snapshot()["fallbacks"] == 1
-        _results_equal(
-            got, simulate_hierarchy(trace, inclusive, engine="exact")
-        )
-
-    def test_fast_raises_on_inclusive(self):
-        trace = Trace(
-            addr=np.zeros(4, np.uint64),
-            kind=np.full(4, int(AccessKind.INSTR), np.uint8),
-            segment=np.zeros(4, np.uint8),
-            thread=np.zeros(4, np.uint16),
-        )
-        inclusive = dataclasses.replace(_tiny_hierarchy(), inclusive=True)
-        with pytest.raises(ConfigurationError):
-            simulate_hierarchy_sweep(trace, [inclusive], engine="fast")
+        got = simulate_hierarchy_sweep(trace, [inclusive, base, inclusive])
+        assert fastsim.counters_snapshot()["fallbacks"] == 2
+        _results_equal(got[0], _simulate_exact(trace, inclusive, {}))
+        _results_equal(got[1], _simulate_exact(trace, base, {}))
+        _results_equal(got[2], got[0])
 
     def test_empty_inputs_rejected(self):
         trace = Trace(
@@ -314,15 +304,15 @@ class TestShardedReplay:
 
 
 class TestTlbEngines:
-    """The TLB's fast path is a stack-distance corollary of the caches'."""
+    """The vectorized TLB is a stack-distance corollary of the caches'."""
 
     @given(traces())
     def test_tlb_engines_agree(self, trace):
         config = TlbConfig(page_size=256, l1_entries=2, stlb_entries=4)
-        a = simulate_tlb(trace, config)
-        b = simulate_tlb(trace, config, engine="fast")
-        assert (a.l1_misses, a.stlb_misses) == (b.l1_misses, b.stlb_misses)
-        assert a.accesses == b.accesses
+        result = simulate_tlb(trace, config)
+        expected = loop_oracles.tlb_misses(trace, config)
+        assert (result.l1_misses, result.stlb_misses) == expected
+        assert result.accesses == len(trace)
 
 
 class TestComposedFusion:
@@ -344,22 +334,47 @@ class TestComposedFusion:
         )
 
     def test_fused_matches_unfused_and_reference(self, streams):
+        """Filtered curves and batched solves == fresh curves and bisection.
+
+        Rebuilds the L2 and L3 levels of the composed run from fresh
+        ``MissRatioCurve(miss_lines)`` curves and the scalar bisection,
+        and checks every hit rate matches bit for bit.
+        """
+        run = self._run(streams)
+
+        def rebuilt(cache):
+            return [
+                dataclasses.replace(c, curve=MissRatioCurve(c.lines))
+                for c in cache.components.values()
+            ]
+
+        for cache in (run.l2, run.l3):
+            fresh = rebuilt(cache)
+            window = loop_oracles.solve_window(fresh, cache.capacity_lines)
+            assert cache.global_window_ki == window
+            oracle = CompositeCache(fresh, cache.capacity_lines, window=window)
+            for name in cache.components:
+                assert cache.hit_rate(name) == oracle.hit_rate(name)
+
         capacities = [4096, 8192, 65536, 262144]
-        runs = {
-            "fused": self._run(streams, engine="fast", fused=True),
-            "unfused": self._run(streams, engine="fast", fused=False),
-            "reference": self._run(streams, engine="reference"),
-        }
-        rate_sets = {
-            name: [run.l3_hit_rate(c) for c in capacities]
-            for name, run in runs.items()
-        }
-        assert rate_sets["fused"] == rate_sets["unfused"] == rate_sets["reference"]
+        fresh_l3 = rebuilt(run.l3)
+        for capacity in capacities:
+            lines = capacity // run.block_size
+            window = loop_oracles.solve_window(fresh_l3, lines)
+            assert run.l3_at(capacity).global_window_ki == window
+
+    def test_solve_windows_matches_bisection(self, streams):
+        run = self._run(streams)
+        inputs = list(run.l3.components.values())
+        capacities = [1, 7, 64, 1000, 4096, 10**9]
+        batched = solve_windows(inputs, capacities)
+        for capacity, window in zip(capacities, batched.tolist()):
+            assert window == loop_oracles.solve_window(inputs, capacity)
 
     def test_solve_l3_sweep_matches_per_point(self, streams):
         capacities = [4096, 16384, 131072]
-        batched = self._run(streams, engine="fast", fused=True)
-        pointwise = self._run(streams, engine="fast", fused=True)
+        batched = self._run(streams)
+        pointwise = self._run(streams)
         swept = batched.solve_l3_sweep(capacities)
         singles = [pointwise.l3_at(c) for c in capacities]
         for a, b in zip(swept, singles):
@@ -367,7 +382,6 @@ class TestComposedFusion:
             assert a.total_mpki() == b.total_mpki()
 
     def test_l3_at_memoizes_when_fused(self, streams):
-        run = self._run(streams, engine="fast", fused=True)
+        run = self._run(streams)
         assert run.l3_at(8192) is run.l3_at(8192)
-        unfused = self._run(streams, engine="fast", fused=False)
-        assert unfused.l3_at(8192) is not unfused.l3_at(8192)
+        assert run.solve_l3_sweep([8192])[0] is run.l3_at(8192)

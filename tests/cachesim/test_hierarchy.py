@@ -9,6 +9,7 @@ from repro.cachesim.hierarchy import (
     AnalyticHierarchyResult,
     CacheLevelConfig,
     HierarchyConfig,
+    analytic_hierarchy,
     simulate_hierarchy,
 )
 from repro.cachesim.prefetch import StreamPrefetcher
@@ -71,7 +72,7 @@ class TestHierarchyConfig:
 
 class TestExactEngine:
     def test_basic_invariants(self, trace, config):
-        result = simulate_hierarchy(trace, config.scaled(1 / 256), engine="exact")
+        result = simulate_hierarchy(trace, config.scaled(1 / 256))
         l1i = result.level("L1I")
         l2 = result.level("L2")
         l3 = result.level("L3")
@@ -81,7 +82,7 @@ class TestExactEngine:
         assert l3.total_accesses == l2.total_misses
 
     def test_instr_only_in_l1i(self, trace, config):
-        result = simulate_hierarchy(trace, config.scaled(1 / 256), engine="exact")
+        result = simulate_hierarchy(trace, config.scaled(1 / 256))
         l1i = result.level("L1I")
         assert l1i.misses_for(kinds=(AccessKind.LOAD,)) == 0
         l1d = result.level("L1D")
@@ -89,21 +90,21 @@ class TestExactEngine:
 
     def test_bigger_l3_fewer_misses(self, trace):
         small = simulate_hierarchy(
-            trace, HierarchyConfig.plt1_like(l3_size=64 * KiB, l3_assoc=8), engine="exact"
+            trace, HierarchyConfig.plt1_like(l3_size=64 * KiB, l3_assoc=8)
         )
         large = simulate_hierarchy(
-            trace, HierarchyConfig.plt1_like(l3_size=4 * MiB, l3_assoc=8), engine="exact"
+            trace, HierarchyConfig.plt1_like(l3_size=4 * MiB, l3_assoc=8)
         )
         assert large.level("L3").total_misses <= small.level("L3").total_misses
 
     def test_inclusive_never_better(self, trace):
         """Back-invalidations can only add upper-level misses."""
         base_config = HierarchyConfig.plt1_like(l3_size=128 * KiB, l3_assoc=8).scaled(1 / 4)
-        base = simulate_hierarchy(trace, base_config, engine="exact")
+        base = simulate_hierarchy(trace, base_config)
         from dataclasses import replace
 
         inclusive = simulate_hierarchy(
-            trace, replace(base_config, inclusive=True), engine="exact"
+            trace, replace(base_config, inclusive=True)
         )
         assert (
             inclusive.level("L2").total_misses
@@ -118,11 +119,10 @@ class TestExactEngine:
         )
         trace = workload.generate(40_000)
         scaled = config.scaled(1 / 64)
-        base = simulate_hierarchy(trace, scaled, engine="exact")
+        base = simulate_hierarchy(trace, scaled)
         prefetched = simulate_hierarchy(
             trace,
             scaled,
-            engine="exact",
             prefetchers={"L2": StreamPrefetcher(degree=4)},
         )
         assert (
@@ -132,7 +132,7 @@ class TestExactEngine:
     def test_unknown_prefetcher_level_rejected(self, trace, config):
         with pytest.raises(ConfigurationError):
             simulate_hierarchy(
-                trace, config, engine="exact", prefetchers={"L5": StreamPrefetcher()}
+                trace, config, prefetchers={"L5": StreamPrefetcher()}
             )
 
     def test_empty_trace_rejected(self, config):
@@ -143,8 +143,8 @@ class TestExactEngine:
 class TestAnalyticEngine:
     def test_agrees_with_exact(self, trace, config):
         scaled = config.scaled(1 / 64)
-        exact = simulate_hierarchy(trace, scaled, engine="exact")
-        analytic = simulate_hierarchy(trace, scaled, engine="analytic")
+        exact = simulate_hierarchy(trace, scaled)
+        analytic = analytic_hierarchy(trace, scaled)
         for level in ("L1I", "L1D", "L2", "L3"):
             e = exact.level(level)
             a = analytic.level(level)
@@ -155,29 +155,19 @@ class TestAnalyticEngine:
             assert a_rate == pytest.approx(e_rate, abs=0.08)
 
     def test_returns_analytic_result(self, trace, config):
-        result = simulate_hierarchy(trace, config.scaled(1 / 64), engine="analytic")
+        result = analytic_hierarchy(trace, config.scaled(1 / 64))
         assert isinstance(result, AnalyticHierarchyResult)
         assert result.l3_curve is not None
 
     def test_l3_sweep_monotone(self, trace, config):
-        result = simulate_hierarchy(trace, config.scaled(1 / 64), engine="analytic")
+        result = analytic_hierarchy(trace, config.scaled(1 / 64))
         capacities = [32 * KiB, 128 * KiB, 512 * KiB]
         sweep = result.l3_sweep(capacities)
         misses = [sweep[c].total_misses for c in capacities]
         assert misses == sorted(misses, reverse=True)
 
     def test_l3_miss_stream_shrinks_with_capacity(self, trace, config):
-        result = simulate_hierarchy(trace, config.scaled(1 / 64), engine="analytic")
+        result = analytic_hierarchy(trace, config.scaled(1 / 64))
         small_lines, __, __ = result.l3_miss_stream(32 * KiB)
         large_lines, __, __ = result.l3_miss_stream(512 * KiB)
         assert len(large_lines) <= len(small_lines)
-
-    def test_prefetchers_rejected(self, trace, config):
-        with pytest.raises(ConfigurationError):
-            simulate_hierarchy(
-                trace, config, engine="analytic", prefetchers={"L2": StreamPrefetcher()}
-            )
-
-    def test_unknown_engine_rejected(self, trace, config):
-        with pytest.raises(ConfigurationError):
-            simulate_hierarchy(trace, config, engine="magic")

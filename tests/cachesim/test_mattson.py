@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
+from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.mattson import COLD, hit_rate_for_capacities, stack_distances
 from repro.errors import TraceError
+from tests.cachesim.loop_oracles import lru_hits
 
 
 def naive_stack_distances(lines):
@@ -59,10 +60,8 @@ class TestHitRateForCapacities:
         rng = np.random.default_rng(3)
         lines = (rng.zipf(1.4, 3000) % 300).astype(np.int64)
         for capacity in (4, 16, 64):
-            cache = SetAssociativeCache(
-                CacheGeometry.fully_associative(capacity * 64)
-            )
-            simulated = cache.simulate(lines).mean()
+            geometry = CacheGeometry.fully_associative(capacity * 64)
+            simulated = lru_hits(geometry, lines).mean()
             analytic = hit_rate_for_capacities(lines, [capacity])[0]
             assert analytic == pytest.approx(simulated, abs=1e-12)
 
@@ -84,23 +83,17 @@ class TestEngineBranches:
 
     def test_all_cold_stream_fast_engine(self):
         lines = np.arange(50, dtype=np.int64)  # no reuse at all
-        rates = hit_rate_for_capacities(lines, [1, 8, 64], engine="fast")
+        rates = hit_rate_for_capacities(lines, [1, 8, 64])
         assert rates.tolist() == [0.0, 0.0, 0.0]
 
     def test_single_access_stream_both_engines(self):
+        """The Mattson loop and the vectorized rates agree on one access."""
         lines = np.array([7], np.int64)
-        for engine in ("reference", "fast"):
-            rates = hit_rate_for_capacities(lines, [1, 2], engine=engine)
-            assert rates.tolist() == [0.0, 0.0]
+        assert stack_distances(lines).tolist() == [COLD]
+        assert hit_rate_for_capacities(lines, [1, 2]).tolist() == [0.0, 0.0]
 
     def test_fast_engine_rejects_empty_and_bad_capacity(self):
         with pytest.raises(TraceError):
-            hit_rate_for_capacities(np.empty(0, np.int64), [1], engine="fast")
+            hit_rate_for_capacities(np.empty(0, np.int64), [1])
         with pytest.raises(TraceError):
-            hit_rate_for_capacities(np.array([1, 2]), [0], engine="fast")
-
-    def test_unknown_engine_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            hit_rate_for_capacities(np.array([1, 2]), [1], engine="warp")
+            hit_rate_for_capacities(np.array([1, 2]), [0])

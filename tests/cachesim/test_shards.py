@@ -67,7 +67,7 @@ class TestExactness:
     def test_accuracy_on_zipf_stream(self):
         lines = zipf_lines()
         caps = np.array([256, 512, 1024, 2048, 4096], np.int64)
-        exact = hit_rate_for_capacities(lines, caps, engine="fast")
+        exact = hit_rate_for_capacities(lines, caps)
         estimated = shards_hit_rates(
             lines, caps, rate=0.05, seed=1, replicas=4
         )
@@ -179,7 +179,7 @@ class TestEnsemble:
     def test_replication_reduces_error(self):
         lines = zipf_lines(40_000, pool=4000, seed=9)
         caps = np.array([512, 1024, 2048], np.int64)
-        exact = hit_rate_for_capacities(lines, caps, engine="fast")
+        exact = hit_rate_for_capacities(lines, caps)
 
         def worst(replicas):
             errors = []

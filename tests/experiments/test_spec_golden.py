@@ -6,9 +6,8 @@ hand-coded construction — literal ``AreaModel()``/``PowerModel()``/
 ``SearchPerfModel()``/``L4Config`` objects and ``HierarchyConfig``
 factory calls — by monkeypatching the two seams in
 ``repro.experiments.common``, then byte-compares the rendered tables and
-the ``--metrics-out`` JSON document of every affected experiment.  Same
-harness style as ``TestFusedByteEquality`` in ``test_engine_golden.py``:
-module-scoped runs, ``jobs=1`` so the patches apply in-process.
+the ``--metrics-out`` JSON document of every affected experiment.
+Module-scoped runs, ``jobs=1`` so the patches apply in-process.
 """
 
 from types import SimpleNamespace

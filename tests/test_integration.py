@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro._units import MiB
-from repro.cachesim import HierarchyConfig, simulate_hierarchy
+from repro.cachesim import HierarchyConfig, analytic_hierarchy, simulate_hierarchy
 from repro.cachesim.composed import ComposedHierarchy, SegmentRates
 from repro.cachesim.composition import CompositeCache, StreamComponent
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
@@ -34,8 +34,8 @@ class TestEngineAgreement:
         config = HierarchyConfig.plt1_like(
             l3_size=int(l3_mib * MiB), l3_assoc=8
         ).scaled(1 / 64)
-        exact = simulate_hierarchy(trace, config, engine="exact")
-        analytic = simulate_hierarchy(trace, config, engine="analytic")
+        exact = simulate_hierarchy(trace, config)
+        analytic = analytic_hierarchy(trace, config)
         e = exact.level("L3")
         a = analytic.level("L3")
         e_rate = e.total_misses / max(1, e.total_accesses)
@@ -44,8 +44,8 @@ class TestEngineAgreement:
 
     def test_segment_mpki_ordering_agrees(self, trace):
         config = HierarchyConfig.plt1_like(l3_size=1 * MiB, l3_assoc=8).scaled(1 / 64)
-        exact = simulate_hierarchy(trace, config, engine="exact")
-        analytic = simulate_hierarchy(trace, config, engine="analytic")
+        exact = simulate_hierarchy(trace, config)
+        analytic = analytic_hierarchy(trace, config)
         for level in ("L2", "L3"):
             e_order = sorted(
                 Segment, key=lambda s: exact.segment_mpki(level, s)
@@ -77,7 +77,7 @@ class TestComposedVsDirect:
         # Direct: generate a literal trace at these rates and simulate.
         workload = SyntheticWorkload(config, seed=33)
         trace = workload.generate_thread(120_000)
-        direct = simulate_hierarchy(trace, hierarchy, engine="analytic")
+        direct = analytic_hierarchy(trace, hierarchy)
 
         # Composed: independent per-segment streams at the same rates.
         workload2 = SyntheticWorkload(config, seed=33)
@@ -156,7 +156,7 @@ class TestSearchEngineTraces:
 
     def test_hierarchy_simulation_runs(self, cluster_trace):
         config = HierarchyConfig.plt1_like(l3_size=2 * MiB, l3_assoc=8).scaled(1 / 16)
-        result = simulate_hierarchy(cluster_trace, config, engine="analytic")
+        result = analytic_hierarchy(cluster_trace, config)
         # Code is absorbed before memory; the L3's residual misses are data.
         assert result.segment_mpki("L3", Segment.CODE) < result.instr_mpki("L1I")
 
