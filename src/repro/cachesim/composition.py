@@ -151,7 +151,8 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
     :meth:`miss_component` derives the miss stream's curve from the
     parent curve via
     :meth:`~repro.cachesim.misscurve.MissRatioCurve.filtered` instead of
-    rebuilding it — the same curve at a fraction of the cost.
+    rebuilding it — the same curve at a fraction of the cost, and the
+    parent's own curve when nothing hits.
     """
 
     def __init__(
@@ -207,19 +208,24 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
         """The stream of this component's misses, with its demoted rate.
 
         Returns None when the stream misses too rarely to carry meaningful
-        statistics downstream (fewer than 2 miss accesses).
+        statistics downstream (fewer than 2 miss accesses).  When every
+        access misses, the miss stream shares this component's lines and
+        curve instead of copying them.
         """
         component = self._component(name)
         miss_mask = ~self.hit_mask(name)
-        miss_lines = component.lines[miss_mask]
-        if len(miss_lines) < 2:
+        misses = int(np.count_nonzero(miss_mask))
+        if misses < 2:
             return None
-        miss_fraction = len(miss_lines) / len(component.lines)
+        accesses = len(component.lines)
+        miss_lines = (
+            component.lines if misses == accesses else component.lines[miss_mask]
+        )
         assert component.curve is not None  # established in __post_init__
         return StreamComponent(
             name=name,
             lines=miss_lines,
-            rate=component.rate * miss_fraction,
+            rate=component.rate * (misses / accesses),
             multiplicity=component.multiplicity,
             curve=component.curve.filtered(miss_mask),
         )

@@ -19,8 +19,16 @@ fits entirely inside one of the line's access gaps, so with gap lengths g:
 where the gaps of a line accessed at positions p_1 < ... < p_k (1-based) are
 ``p_1 - 1`` (front), ``p_{j+1} - p_j - 1`` (between accesses, i.e. reuse
 time - 1), and ``n - p_k`` (back).  All three gap populations reduce to one
-multiset V with contributions ``max(0, v - w)``, evaluated for any w with a
-sorted array and suffix sums.
+multiset V with contributions ``max(0, v - w)``.  Every v is an integer in
+``[1, n]``, so V is stored as a histogram: its distinct values with the
+integer count and sum of the values above each.  fp(w) is then one binary
+search over the distinct values; the sums are exact int64, so they convert
+to the same float64 a suffix sum over the sorted multiset would give.  Hit
+counts read the same kind of histogram of the reuse times.
+
+Storage is O(distinct gap and reuse values) plus three position arrays per
+access (the stable sort, its line-group ids and each access's reuse time),
+int32 whenever the stream is shorter than 2**31.
 
 Fully-associative LRU is the right model for the swept levels: the paper
 measures conflict misses beyond L1 at under 1% (Figure 7a).  Tests validate
@@ -33,6 +41,18 @@ import numpy as np
 
 from repro.cachesim.indexing import stable_group_order
 from repro.errors import TraceError
+
+
+def _position_dtype(n: int) -> type[np.signedinteger]:
+    """int32 when positions and counts up to ``n`` fit in it, else int64."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _suffix_sums(values: np.ndarray) -> np.ndarray:
+    """``out[k] = values[k:].sum()`` as int64, with a trailing zero."""
+    out = np.zeros(len(values) + 1, np.int64)
+    np.cumsum(values[::-1], out=out[-2::-1])
+    return out
 
 
 class MissRatioCurve:
@@ -52,65 +72,80 @@ class MissRatioCurve:
 
         # Group each line's accesses (stable sort keeps program order within
         # a group): adjacent entries of a group are consecutive touches.
-        self._init_from_order(n, *stable_group_order(lines))
+        order, sorted_lines = stable_group_order(lines)
+        positions = _position_dtype(n)
+        group = np.zeros(n, positions)
+        np.cumsum(
+            sorted_lines[1:] != sorted_lines[:-1], dtype=positions, out=group[1:]
+        )
+        del sorted_lines
+        self._init_from_order(n, order.astype(positions), group)
 
     def _init_from_order(
-        self, n: int, order: np.ndarray, sorted_lines: np.ndarray
+        self, n: int, order: np.ndarray, group: np.ndarray
     ) -> None:
         """Shared constructor tail given the stable sort of the stream.
 
-        ``order`` is the stable argsort of the stream and ``sorted_lines``
-        the stream gathered through it.  :meth:`filtered` re-enters here
-        with a *derived* sort — identical inputs produce identical curve
-        state, which is what makes derived curves bit-identical to freshly
-        built ones.
+        ``order`` is the stable argsort of the stream and ``group`` a
+        nondecreasing id per sorted position that changes exactly where
+        one line's group of accesses ends and the next begins.
+        :meth:`filtered` re-enters here with a *derived* sort and the
+        parent's group ids; only where the ids change is read, so derived
+        curves are bit-identical to freshly built ones.
         """
         self._n = n
         self._order = order
-        self._sorted_lines = sorted_lines
+        self._group = group
 
         # Sort indices where each line's group starts (the first group's
         # start, 0, left out) and where each group ends.
-        starts = np.flatnonzero(sorted_lines[1:] != sorted_lines[:-1]) + 1
+        starts = np.flatnonzero(group[1:] != group[:-1]) + 1
         ends = np.append(starts - 1, n - 1)
         self._m = len(starts) + 1
+
+        # Reuse time of each access in sorted order; re-references have
+        # reuse >= 1, so ``_reuse == 0`` marks the cold (first-touch)
+        # accesses.
+        reuse = np.empty(n, order.dtype)
+        reuse[0] = 0
+        np.subtract(order[1:], order[:-1], out=reuse[1:])
+        reuse[starts] = 0
+        self._reuse = np.empty(n, order.dtype)
+        self._reuse[order] = reuse
+        hist = np.bincount(reuse, minlength=n + 1)
+        del reuse
+        self._reuse_values = np.flatnonzero(hist[1:] != 0) + 1
+        self._reuse_hits = np.zeros(len(self._reuse_values) + 1, np.int64)
+        np.cumsum(hist[self._reuse_values], out=self._reuse_hits[1:])
 
         # Gap multiset over 1-based positions: reuse gaps contribute
         # max(0, r - w); a first touch at f contributes max(0, f - w)
         # (front gap f-1); a last touch at l contributes
-        # max(0, (n - l + 1) - w) (back gap n-l).  ``gap`` holds each
-        # access's reuse time, or f at a first touch.
-        gap = np.empty(n, np.int64)
-        gap[0] = order[0] + 1
-        np.subtract(order[1:], order[:-1], out=gap[1:])
-        gap[starts] = order[starts] + 1
-        back = n - order[ends]
-        self._gaps_sorted = np.sort(np.concatenate((gap, back)))
-        suffix = np.zeros(n + self._m + 1, np.float64)
-        suffix[:-1] = np.cumsum(self._gaps_sorted[::-1])[::-1]
-        self._gap_suffix_sum = suffix
-
-        # Re-references have reuse >= 1, so ``_reuse == 0`` marks the
-        # cold (first-touch) accesses.
-        gap[0] = 0
-        gap[starts] = 0
-        self._reuse = np.empty(n, np.int64)
-        self._reuse[order] = gap
-        gap.sort()
-        # A copy, so the m cold zeros' memory is not kept alive.
-        self._reuse_sorted_nonzero = gap[self._m :].copy()
+        # max(0, (n - l + 1) - w) (back gap n-l).  Every value lies in
+        # [1, n], so the multiset is a histogram (first touches enter
+        # through their front gaps, not as reuse 0).
+        hist[0] = 0
+        np.add.at(hist, order[np.append(0, starts)] + 1, 1)
+        np.add.at(hist, n - order[ends], 1)
+        self._gap_values = np.flatnonzero(hist != 0)
+        counts = hist[self._gap_values]
+        del hist
+        # Count and integer sum of the gaps above each distinct value.
+        self._gaps_above = _suffix_sums(counts)
+        self._gap_sum_above = _suffix_sums(counts * self._gap_values)
 
     def filtered(self, mask: np.ndarray) -> "MissRatioCurve":
         """Curve of the subsequence ``lines[mask]`` without a new argsort.
 
         Filtering preserves relative order, so the stable sort of the
         subsequence is exactly the subsequence of this curve's stable sort:
-        gathering the stored sort through ``mask`` and renumbering
-        positions yields the same ``(order, sorted_lines)`` a fresh
+        gathering the stored sort and group ids through ``mask`` and
+        renumbering positions yields the groups a fresh
         ``MissRatioCurve(lines[mask])`` would compute — the derived curve
         is bit-identical to a fresh one (the differential suite pins
-        this).  Used by stream composition to build each level's
-        miss-stream curve in O(n) instead of O(n log n).
+        this).  A mask that keeps every access returns this curve itself.
+        Used by stream composition to build each level's miss-stream curve
+        in O(n) instead of O(n log n).
         """
         mask = np.asarray(mask, bool)
         if len(mask) != self._n:
@@ -120,13 +155,14 @@ class MissRatioCurve:
         n = int(np.count_nonzero(mask))
         if n == 0:
             raise TraceError("cannot build a miss-ratio curve from an empty stream")
+        if n == self._n:
+            return self
         keep = mask[self._order]
         # New 0-based position of each surviving access in the subsequence.
-        new_index = np.cumsum(mask, dtype=np.int64) - 1
+        new_index = np.cumsum(mask, dtype=_position_dtype(n))
+        new_index -= 1
         out = MissRatioCurve.__new__(MissRatioCurve)
-        out._init_from_order(
-            n, new_index[self._order[keep]], self._sorted_lines[keep]
-        )
+        out._init_from_order(n, new_index[self._order[keep]], self._group[keep])
         return out
 
     # ------------------------------------------------------------------
@@ -155,10 +191,11 @@ class MissRatioCurve:
         w = np.asarray(window, np.int64)
         if (w < 1).any() or (w > self._n).any():
             raise TraceError(f"window lengths must be in [1, {self._n}]")
-        idx = np.searchsorted(self._gaps_sorted, w, side="right")
-        count_above = len(self._gaps_sorted) - idx
-        tail_sum = self._gap_suffix_sum[idx]
-        missing = tail_sum - w.astype(np.float64) * count_above
+        idx = np.searchsorted(self._gap_values, w, side="right")
+        # The integer sum converts to float64 exactly as a float suffix
+        # sum over the sorted gaps would.
+        tail_sum = self._gap_sum_above[idx]
+        missing = tail_sum - w.astype(np.float64) * self._gaps_above[idx]
         fp = self._m - missing / (self._n - w + 1)
         return fp if fp.shape else float(fp)
 
@@ -275,12 +312,15 @@ class MissRatioCurve:
         """
         return (self._reuse > 0) & (self._reuse <= window)
 
+    def _hits_within(self, windows: float | np.ndarray) -> np.ndarray:
+        """Number of reuses with reuse time at most each window."""
+        return self._reuse_hits[
+            np.searchsorted(self._reuse_values, windows, side="right")
+        ]
+
     def hit_rate_for_window(self, window: float) -> float:
         """Hit rate given an own-stream reuse window."""
-        hits = int(
-            np.searchsorted(self._reuse_sorted_nonzero, window, side="right")
-        )
-        return hits / self._n
+        return int(self._hits_within(window)) / self._n
 
     def miss_mask(self, capacity_lines: int) -> np.ndarray:
         """Complement of :meth:`hit_mask` — used to build downstream streams."""
@@ -289,10 +329,7 @@ class MissRatioCurve:
     def hit_rate(self, capacity_lines: int) -> float:
         """Hit rate at one capacity."""
         window = self.window_for_capacity(capacity_lines)
-        hits = int(
-            np.searchsorted(self._reuse_sorted_nonzero, window, side="right")
-        )
-        return hits / self._n
+        return int(self._hits_within(window)) / self._n
 
     def hit_rates(self, capacities_lines: np.ndarray | list[int]) -> np.ndarray:
         """Hit rates at several capacities.
@@ -302,13 +339,9 @@ class MissRatioCurve:
         :meth:`hit_rate` per capacity.
         """
         windows = self.windows_for_capacities(capacities_lines)
-        hits = np.searchsorted(self._reuse_sorted_nonzero, windows, side="right")
-        return hits / self._n
+        return self._hits_within(windows) / self._n
 
     def miss_count(self, capacity_lines: int) -> int:
         """Number of misses at one capacity (cold + capacity misses)."""
         window = self.window_for_capacity(capacity_lines)
-        hits = int(
-            np.searchsorted(self._reuse_sorted_nonzero, window, side="right")
-        )
-        return self._n - hits
+        return self._n - int(self._hits_within(window))

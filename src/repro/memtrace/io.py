@@ -19,6 +19,8 @@ Two layers live here:
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -74,17 +76,25 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a bundle written by :func:`save_arrays`.
 
     Returns ``(arrays, metadata)``; the version in the header must match
-    :data:`FORMAT_VERSION`.
+    :data:`FORMAT_VERSION`.  A truncated or corrupt archive raises
+    :class:`TraceError`, like every other unreadable bundle.
     """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"no trace bundle at {path}")
-    with np.load(path) as bundle:
-        try:
-            header = json.loads(bytes(bundle["header"]).decode())
-        except KeyError as exc:
-            raise TraceError(f"{path} is not a trace bundle: missing {exc}") from exc
-        arrays = {name: bundle[name] for name in bundle.files if name != "header"}
+    try:
+        with np.load(path) as bundle:
+            try:
+                header = json.loads(bytes(bundle["header"]).decode())
+            except KeyError as exc:
+                raise TraceError(
+                    f"{path} is not a trace bundle: missing {exc}"
+                ) from exc
+            arrays = {
+                name: bundle[name] for name in bundle.files if name != "header"
+            }
+    except (zipfile.BadZipFile, EOFError, zlib.error) as exc:
+        raise TraceError(f"{path} is a torn or corrupt bundle: {exc}") from exc
     if header.get("version") != FORMAT_VERSION:
         raise TraceError(
             f"{path} has format version {header.get('version')}; "

@@ -117,6 +117,14 @@ class TestCompositeCache:
         miss_fraction = len(miss.lines) / 3000
         assert miss.rate == pytest.approx(10.0 * miss_fraction)
 
+    def test_all_miss_component_shares_lines_and_curve(self):
+        component = StreamComponent("x", np.arange(100, dtype=np.int64), rate=1.0)
+        composite = CompositeCache([component], 8)
+        miss = composite.miss_component("x")
+        assert miss.lines is component.lines
+        assert miss.curve is component.curve
+        assert miss.rate == component.rate
+
     def test_miss_component_none_when_everything_hits(self):
         lines = np.array([1, 1, 1, 1, 1, 1])
         component = StreamComponent("x", lines, rate=1.0)

@@ -133,3 +133,21 @@ class TestHitRates:
         mask = curve.hit_mask_for_window(2)
         assert list(mask) == [False, False, True, False, True]
         assert not curve.hit_mask_for_window(1).any()
+
+
+class TestCompactStorage:
+    def test_retained_bytes_per_access(self):
+        """Histograms and int32 positions: at most 20 bytes per access."""
+        rng = np.random.default_rng(0)
+        lines = rng.zipf(1.3, 200_000) % 5000
+        curve = MissRatioCurve(lines)
+        retained = sum(
+            value.nbytes
+            for value in vars(curve).values()
+            if isinstance(value, np.ndarray)
+        )
+        assert retained <= 20 * len(lines)
+
+    def test_filter_keeping_everything_is_the_same_curve(self):
+        curve = MissRatioCurve(np.array([1, 2, 1, 3]))
+        assert curve.filtered(np.ones(4, bool)) is curve

@@ -6,6 +6,7 @@ import dataclasses
 import pickle
 
 from repro.errors import ConfigurationError
+from repro.experiments import table1
 from repro.experiments.common import (
     ExperimentResult,
     RunPreset,
@@ -89,6 +90,14 @@ class TestRunCache:
         assert len(preset.run_cache) == 1
         discard_run("s1-leaf", preset)
         assert len(preset.run_cache) == 0
+
+    def test_table1_keeps_only_shared_runs(self):
+        preset = dataclasses.replace(tiny_preset(), branch_instructions=20_000)
+        table1.run(preset)
+        assert set(preset.run_cache.runs) == {
+            ("s1-leaf", "plt1", preset.threads),
+            ("s1-leaf-plt1", "plt1", preset.threads),
+        }
 
     def test_different_threads_different_runs(self):
         preset = tiny_preset()

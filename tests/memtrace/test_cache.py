@@ -98,6 +98,15 @@ class TestArtifactCache:
         assert cache.load(key, "t") is None
         assert cache.stats()["misses"] == 1
 
+    def test_truncated_bundle_is_miss(self, cache):
+        key = artifact_key("t", seed=3)
+        path = cache.store(key, "t", {"a": np.arange(100_000)})
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        assert cache.load(key, "t") is None
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["hits"] == 0
+
     def test_counters_track_traffic(self, cache):
         key = artifact_key("t", seed=0)
         cache.store(key, "t", {"a": np.arange(100)})

@@ -53,6 +53,13 @@ class TestRoundtrip:
         with pytest.raises(TraceError):
             load_trace(path)
 
+    def test_truncated_bundle_raises_trace_error(self, trace, tmp_path):
+        path = save_trace(trace, tmp_path / "t.npz")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(TraceError, match="torn or corrupt"):
+            load_trace(path)
+
     def test_uppercase_suffix_respected(self, trace, tmp_path):
         """Regression: ``t.NPZ`` used to come back as ``t.NPZ.npz``."""
         path = save_trace(trace, tmp_path / "t.NPZ")
