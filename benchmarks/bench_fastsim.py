@@ -26,6 +26,7 @@ from repro.cachesim.hierarchy import (
     _simulate_exact,
     simulate_hierarchy,
 )
+from repro.experiments.common import platform_hierarchy
 from repro.memtrace.synthetic import generate_trace
 from repro.workloads.profiles import get_profile
 
@@ -38,7 +39,7 @@ def _fig7_workload(preset):
     trace = generate_trace(
         profile.memory.scaled(preset.scale), 60_000, seed=preset.seed, threads=2
     )
-    base = HierarchyConfig.plt1_like().scaled(preset.scale)
+    base = platform_hierarchy("plt1", preset)
     full = HierarchyConfig(
         l1i=_fully(base.l1i),
         l1d=_fully(base.l1d),

@@ -25,10 +25,10 @@ from repro._units import MiB
 from repro.cachesim import hierarchy
 from repro.cachesim.composed import ComposedHierarchy
 from repro.cachesim.fastsim import fast_lru_hits_ladder
-from repro.cachesim.fused import sharded_lru_hits, simulate_hierarchy_sweep
-from repro.cachesim.hierarchy import HierarchyConfig, simulate_hierarchy
+from repro.cachesim.fused import simulate_hierarchy_sweep
+from repro.cachesim.hierarchy import simulate_hierarchy
 from repro.cachesim.indexing import lines_of_addrs
-from repro.experiments.common import RunPreset
+from repro.experiments.common import RunPreset, platform_hierarchy
 from repro.memtrace.synthetic import generate_segment_streams, generate_trace
 from repro.memtrace.trace import Segment
 from repro.workloads.profiles import get_profile
@@ -46,7 +46,7 @@ def _campaign(preset, instructions=120_000, capacity_mib=_CAPACITY_MIB):
         seed=preset.seed,
         threads=2,
     )
-    base = HierarchyConfig.plt1_like().scaled(preset.scale)
+    base = platform_hierarchy("plt1", preset)
     geo = base.l3.geometry
     configs = [base.with_l3_ways(w) for w in range(1, geo.assoc + 1)]
     grain = geo.assoc * geo.block_size
@@ -102,19 +102,14 @@ def _stage_breakdown(trace, configs):
             geo.effective_ways
         )
     ladder_s = 0.0
-    capacity_s = 0.0
     for (block_size, num_sets), ways in ladders.items():
-        lines = lines_of_addrs(trace.addr[l3_idx], block_size)
         if len(ways) > 1:
+            lines = lines_of_addrs(trace.addr[l3_idx], block_size)
             seconds, __ = _timed(fast_lru_hits_ladder, lines, num_sets, ways)
             ladder_s += seconds
-        else:
-            seconds, __ = _timed(sharded_lru_hits, lines, num_sets, ways[0])
-            capacity_s += seconds
     return {
         "upstream_pass_seconds": round(upstream_s, 3),
         "mattson_ladder_seconds": round(ladder_s, 3),
-        "capacity_fallback_seconds": round(capacity_s, 3),
         "l3_stream_accesses": int(len(l3_idx)),
     }
 
@@ -122,7 +117,7 @@ def _stage_breakdown(trace, configs):
 def _composed_numbers(preset):
     """End-to-end composed-module build, then one batched L3 sweep."""
     profile = get_profile("s1-leaf")
-    config = HierarchyConfig.plt1_like(l3_size=40 * MiB).scaled(preset.scale)
+    config = platform_hierarchy("plt1", preset)
     streams = generate_segment_streams(
         profile.memory.scaled(preset.scale),
         {

@@ -11,6 +11,7 @@ the transferable insight of the paper.
 from repro._units import MiB
 from repro.core.hitcurve import LogLinearHitCurve
 from repro.core.rebalance import CacheForCoresOptimizer
+from repro.experiments.common import paper_models
 
 RATIOS = [2.5, 2.25, 2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5, 0.25]
 
@@ -31,8 +32,11 @@ WORKLOADS = {
 
 
 def main() -> None:
+    models = paper_models()
     for name, curve in WORKLOADS.items():
-        optimizer = CacheForCoresOptimizer(hit_rate_fn=curve)
+        optimizer = CacheForCoresOptimizer(
+            hit_rate_fn=curve, perf_model=models.perf, area_model=models.area
+        )
         print(f"== {name} ==")
         print(f"{'MiB/core':>9} {'cores':>6} {'L3 MiB':>7} {'h(L3)':>7} {'QPS':>8}")
         for ratio in RATIOS:

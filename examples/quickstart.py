@@ -14,6 +14,7 @@ from repro._units import MiB
 from repro.core.hitcurve import LogLinearHitCurve
 from repro.core.optimizer import HierarchyDesignEvaluator, SensitivityScenario
 from repro.experiments import RunPreset, composed_run
+from repro.experiments.common import paper_models
 from repro.memtrace.trace import Segment
 
 
@@ -39,8 +40,11 @@ def main() -> None:
         )
 
     print("\n== the proposed design vs the 18-core/45 MiB baseline ==")
+    models = paper_models()
     evaluator = HierarchyDesignEvaluator(
         stream_source=run,
+        perf_model=models.perf,
+        area_model=models.area,
         scale=preset.scale,
         l3_hit_fn=LogLinearHitCurve.fig10_effective(),
     )

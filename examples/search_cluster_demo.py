@@ -9,7 +9,9 @@ same path the paper takes from production binaries to miss statistics.
 """
 
 from repro._units import format_size
-from repro.cachesim import HierarchyConfig, analytic_hierarchy
+from repro.cachesim import analytic_hierarchy
+from repro.hw import catalog
+from repro.hw.adapters import hierarchy_config
 from repro.memtrace.stats import cold_fraction, working_set_bytes
 from repro.memtrace.trace import Segment
 from repro.search import QueryGenerator, QueryGeneratorConfig, SearchCluster
@@ -56,7 +58,7 @@ def main() -> None:
         )
 
     print("\n== trace through a scaled PLT1-like hierarchy ==")
-    config = HierarchyConfig.plt1_like().scaled(1 / 16)
+    config = hierarchy_config(catalog.plt1_simulated()).scaled(1 / 16)
     result = analytic_hierarchy(trace, config)
     print(result.render())
     print("\nnote the paper's structure: code dies at the shared L3, heap")

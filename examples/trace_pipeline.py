@@ -16,14 +16,11 @@ import tempfile
 from pathlib import Path
 
 from repro._units import KiB, MiB, format_size
-from repro.cachesim import (
-    HierarchyConfig,
-    analytic_hierarchy,
-    classify_misses,
-    simulate_hierarchy,
-)
+from repro.cachesim import analytic_hierarchy, classify_misses, simulate_hierarchy
 from repro.cachesim.cache import CacheGeometry
 from repro.experiments.charts import line_chart
+from repro.hw import catalog
+from repro.hw.adapters import hierarchy_config
 from repro.memtrace import load_trace, save_trace
 from repro.memtrace.synthetic import SyntheticWorkload
 from repro.memtrace.trace import Segment
@@ -45,7 +42,11 @@ def main() -> None:
     reloaded, metadata = load_trace(bundle)
     print(f"reloaded with metadata {metadata}\n")
 
-    config = HierarchyConfig.plt1_like(l3_size=2 * MiB, l3_assoc=8).scaled(1 / 8)
+    config = (
+        hierarchy_config(catalog.plt1_simulated())
+        .with_l3_size(2 * MiB, assoc=8)
+        .scaled(1 / 8)
+    )
     print("== exact vs analytic models on the reloaded trace ==")
     analytic = analytic_hierarchy(reloaded, config)
     for name, result in (

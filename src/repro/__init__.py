@@ -8,7 +8,8 @@ The library has four layers:
   :mod:`repro.search` (a functional mini web-search serving system that
   emits labelled memory traces);
 * **calibration** — :mod:`repro.workloads` (search services and baseline
-  profiles) and :mod:`repro.platforms` (PLT1/PLT2 specs);
+  profiles) and :mod:`repro.hw` (PLT1/PLT2 and the proposed design as
+  declarative hardware specs);
 * **the paper's contribution** — :mod:`repro.core`: the Eq. 1 performance
   model, area accounting, the cache-for-cores rebalancer, the eDRAM L4
   design, the combined optimizer, and power/energy accounting;

@@ -25,9 +25,8 @@ other bit for bit.
 :mod:`repro.cachesim.fused` raises that contract from single runs to whole
 *campaigns*: :func:`~repro.cachesim.fused.simulate_hierarchy_sweep` replays
 a trace once per upstream-hierarchy group instead of once per sweep point,
-derives associativity ladders from one per-set stack-distance pass
-(Mattson inclusion), and can shard a replay across a spawn pool by set
-index — all bit-identical to per-point runs.  The speed ladder is
+and derives associativity ladders from one per-set stack-distance pass
+(Mattson inclusion) — bit-identical to per-point runs.  The speed ladder is
 documented in docs/PERFORMANCE.md.
 """
 
@@ -36,10 +35,8 @@ from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.cachesim.fastsim import (
     CASCADE_MAX_WAYS,
     fast_lru_hits,
-    fast_lru_hits_for_sets,
     fast_lru_hits_ladder,
     fast_stack_distances,
-    merge_counter_deltas,
 )
 from repro.cachesim.indexing import (
     block_shift,
@@ -47,7 +44,6 @@ from repro.cachesim.indexing import (
     lines_of_addrs,
     set_index,
     set_indices,
-    shard_of_sets,
 )
 from repro.cachesim.mattson import (
     hit_rate_for_capacities,
@@ -66,27 +62,20 @@ from repro.cachesim.hierarchy import (
 )
 from repro.cachesim.prefetch import StreamPrefetcher
 from repro.cachesim.missclass import classify_misses, MissBreakdown
-from repro.cachesim.fused import (
-    sharded_lru_hits,
-    sharded_lru_hits_for_sets,
-    simulate_hierarchy_sweep,
-)
+from repro.cachesim.fused import simulate_hierarchy_sweep
 
 __all__ = [
     "CacheGeometry",
     "SetAssociativeCache",
     "CASCADE_MAX_WAYS",
     "fast_lru_hits",
-    "fast_lru_hits_for_sets",
     "fast_lru_hits_ladder",
     "fast_stack_distances",
-    "merge_counter_deltas",
     "block_shift",
     "line_of_addr",
     "lines_of_addrs",
     "set_index",
     "set_indices",
-    "shard_of_sets",
     "simulate_direct_mapped",
     "stack_distances",
     "set_stack_distances",
@@ -104,7 +93,5 @@ __all__ = [
     "StreamPrefetcher",
     "classify_misses",
     "MissBreakdown",
-    "sharded_lru_hits",
-    "sharded_lru_hits_for_sets",
     "simulate_hierarchy_sweep",
 ]

@@ -86,21 +86,6 @@ def _record_kernel(accesses: int) -> None:
     _COUNTERS["accesses"] += accesses
 
 
-def merge_counter_deltas(delta: dict[str, float]) -> None:
-    """Fold a worker's counter delta into this process's counters.
-
-    The set-sharded replay (:func:`repro.cachesim.fused.sharded_lru_hits`)
-    runs kernels in spawned pool workers; each worker snapshots its
-    counters around the kernel call and ships the difference back, and the
-    parent folds the deltas in here so campaign telemetry matches a
-    serial replay's access totals (kernel-call counts reflect the actual
-    per-shard calls).  This is the same worker-delta pattern the parallel
-    experiment runner uses (``parallel._run_task``).
-    """
-    for key in _COUNTERS:
-        _COUNTERS[key] += int(delta.get(key, 0))  # repro: noqa RPR701 -- process-local telemetry, never feeds results; folds sharded-replay worker deltas into the parent (the sanctioned worker-delta pattern)
-
-
 def counters_snapshot() -> dict[str, float]:
     """Current kernel counters."""
     return dict(_COUNTERS)
@@ -430,32 +415,6 @@ def fast_lru_hits_ladder(
             hits[k] = mask
         else:
             hits[k, order] = mask
-    _record_kernel(n)
-    return hits
-
-
-def fast_lru_hits_for_sets(
-    lines: np.ndarray, sets: np.ndarray, ways: int
-) -> np.ndarray:
-    """Cold-start LRU hit mask with explicitly supplied set indices.
-
-    Used by the set-sharded replay
-    (:func:`repro.cachesim.fused.sharded_lru_hits_for_sets`), where each
-    shard holds a subset of the sets.  Each line must always map to the
-    same set.
-    """
-    if ways <= 0:
-        raise ConfigurationError(f"ways must be positive, got {ways}")
-    if len(lines) != len(sets):
-        raise ConfigurationError(
-            f"lines and sets must align: {len(lines)} vs {len(sets)}"
-        )
-    n = len(lines)
-    if n == 0:
-        return np.empty(0, bool)
-    lines64 = np.asarray(lines).astype(np.int64, copy=False)
-    sets64 = np.asarray(sets).astype(np.int64, copy=False)
-    hits = _hits_for_set_stream(lines64, sets64, ways)
     _record_kernel(n)
     return hits
 

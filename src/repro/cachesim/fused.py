@@ -21,11 +21,6 @@ though only the last level changed.  This module fuses the campaign:
   ladders vary ``num_sets``, which breaks inclusion (lines migrate
   between sets) — those points fall back to one kernel call each, still
   sharing the upstream passes.
-* **Set-sharded parallel replay.**  LRU sets are independent, so a
-  replay partitions by ``set % jobs`` and fans out over a spawned
-  process pool; hit masks scatter back bit-identically and worker kernel
-  counters merge into the parent via the sanctioned worker-delta pattern
-  (:func:`repro.cachesim.fastsim.merge_counter_deltas`).
 
 The TLB sits beside the cache sweep rather than inside it: translations
 depend only on the trace and the page size, never on cache geometry, so
@@ -43,133 +38,24 @@ Hypothesis differential suite (``tests/cachesim/test_fused.py``).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
-
 import numpy as np
 
-from repro.cachesim import fastsim
-from repro.cachesim.fastsim import (
-    fast_lru_hits,
-    fast_lru_hits_for_sets,
-    fast_lru_hits_ladder,
-)
+from repro.cachesim.fastsim import fast_lru_hits, fast_lru_hits_ladder
 from repro.cachesim.hierarchy import (
     HierarchyConfig,
     _lru_hits,
     _upstream_pass,
     simulate_hierarchy,
 )
-from repro.cachesim.indexing import lines_of_addrs, set_indices, shard_of_sets
+from repro.cachesim.indexing import lines_of_addrs
 from repro.cachesim.results import HierarchyResult, LevelStats
 from repro.errors import ConfigurationError, SimulationError
 from repro.memtrace.trace import Trace
-
-#: Below this many accesses a sharded replay runs in-process: pool spawn
-#: costs more than the kernel saves.
-MIN_SHARDED_ACCESSES = 200_000  # repro: noqa RPR001 -- access count, not a size
-
-
-# ----------------------------------------------------------------------
-# Set-sharded parallel replay
-# ----------------------------------------------------------------------
-
-
-def _shard_worker(
-    lines: np.ndarray, sets: np.ndarray, ways: int
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Replay one set shard; return its hit mask and the counter delta.
-
-    Runs in a spawned pool worker.  The counters are snapshotted around
-    the kernel call (workers are reused across shards) and the delta is
-    shipped back for the parent to fold in via
-    :func:`repro.cachesim.fastsim.merge_counter_deltas`.
-    """
-    before = fastsim.counters_snapshot()
-    hits = fast_lru_hits_for_sets(lines, sets, ways)
-    after = fastsim.counters_snapshot()
-    delta = {key: after[key] - before[key] for key in before}
-    return hits, delta
-
-
-def sharded_lru_hits_for_sets(
-    lines: np.ndarray, sets: np.ndarray, ways: int, jobs: int = 1
-) -> np.ndarray:
-    """Cold-start LRU hit mask, replayed in parallel over set shards.
-
-    Accesses are partitioned by ``set % jobs`` — every set's subsequence
-    lands intact in exactly one shard, and sets never interact under LRU,
-    so scattering the per-shard masks back reproduces
-    :func:`~repro.cachesim.fastsim.fast_lru_hits_for_sets` bit for bit.
-    Workers are spawned (never forked) processes, matching the parallel
-    experiment runner; their kernel-counter deltas merge into this
-    process so telemetry totals match a serial replay.  Streams below
-    :data:`MIN_SHARDED_ACCESSES` run in-process regardless of ``jobs``.
-    """
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if len(lines) != len(sets):
-        raise ConfigurationError(
-            f"lines and sets must align: {len(lines)} vs {len(sets)}"
-        )
-    if jobs == 1 or len(lines) < MIN_SHARDED_ACCESSES:
-        return fast_lru_hits_for_sets(lines, sets, ways)
-    lines64 = np.asarray(lines).astype(np.int64, copy=False)
-    sets64 = np.asarray(sets).astype(np.int64, copy=False)
-    shard = shard_of_sets(sets64, jobs)
-    hits = np.empty(len(lines64), bool)
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=get_context("spawn")
-    ) as pool:
-        masks = []
-        futures = []
-        for s in range(jobs):
-            mask = shard == s
-            if not mask.any():
-                continue
-            masks.append(mask)
-            futures.append(
-                pool.submit(_shard_worker, lines64[mask], sets64[mask], ways)
-            )
-        for mask, future in zip(masks, futures):
-            shard_hits, delta = future.result()
-            hits[mask] = shard_hits
-            fastsim.merge_counter_deltas(delta)
-    return hits
-
-
-def sharded_lru_hits(
-    lines: np.ndarray, num_sets: int, ways: int, jobs: int = 1
-) -> np.ndarray:
-    """Set-sharded counterpart of :func:`~repro.cachesim.fastsim.fast_lru_hits`.
-
-    Derives each line's set (``line % num_sets``) and dispatches to
-    :func:`sharded_lru_hits_for_sets`; with ``jobs=1`` (or a small
-    stream) this is exactly a serial kernel call.  Composes with the
-    experiment runner's ``--jobs``: the runner parallelizes across
-    experiments, this across the sets of one replay — disjoint axes.
-    """
-    if num_sets <= 0 or ways <= 0:
-        raise ConfigurationError(
-            f"num_sets and ways must be positive: {num_sets}, {ways}"
-        )
-    if jobs == 1 or len(lines) < MIN_SHARDED_ACCESSES:
-        return fast_lru_hits(lines, num_sets, ways)
-    lines64 = np.asarray(lines).astype(np.int64, copy=False)
-    return sharded_lru_hits_for_sets(
-        lines64, set_indices(lines64, num_sets), ways, jobs=jobs
-    )
-
-
-# ----------------------------------------------------------------------
-# Fused hierarchy sweeps
-# ----------------------------------------------------------------------
 
 
 def simulate_hierarchy_sweep(
     trace: Trace,
     configs: list[HierarchyConfig],
-    jobs: int = 1,
 ) -> list[HierarchyResult]:
     """Simulate many hierarchy configurations with shared passes.
 
@@ -181,8 +67,7 @@ def simulate_hierarchy_sweep(
     (L1-I, L1-D, L2) geometry triple, and one stack-distance pass per
     last-level associativity ladder (fixed block size and set count);
     capacity points that change the set count break Mattson inclusion
-    and replay the (already filtered) L3 stream per point, optionally
-    sharded over ``jobs`` spawned workers.
+    and replay the (already filtered) L3 stream per point.
 
     Inclusive configurations are not vectorizable; each one runs
     :func:`~repro.cachesim.hierarchy.simulate_hierarchy` on its own.
@@ -191,8 +76,6 @@ def simulate_hierarchy_sweep(
         raise ConfigurationError("need at least one hierarchy configuration")
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     results: list[HierarchyResult | None] = [None] * len(configs)
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
@@ -231,14 +114,11 @@ def simulate_hierarchy_sweep(
                 lines_by_block[block_size] = lines
             segments = trace.segment[l3_idx]
             kinds = trace.kind[l3_idx]
+            ways = [configs[i].l3.geometry.effective_ways for i in ladder]
             if len(ladder) > 1:
-                ways = [configs[i].l3.geometry.effective_ways for i in ladder]
                 masks = fast_lru_hits_ladder(lines, num_sets, ways)
             else:
-                ways = [configs[ladder[0]].l3.geometry.effective_ways]
-                masks = [
-                    sharded_lru_hits(lines, num_sets, ways[0], jobs=jobs)
-                ]
+                masks = [fast_lru_hits(lines, num_sets, ways[0])]
             for i, hits in zip(ladder, masks):
                 stats = {name: s.copy() for name, s in upstream.items()}
                 l3_stats = LevelStats(name="L3")

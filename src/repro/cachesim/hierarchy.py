@@ -32,12 +32,12 @@ to calling :func:`simulate_hierarchy` per point.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro._units import KiB, MiB
 from repro.cachesim import fastsim
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.cachesim.fastsim import fast_lru_hits
@@ -61,8 +61,13 @@ class CacheLevelConfig:
         """Scale capacity by ``factor`` keeping associativity and block size.
 
         Used to run paper-scale experiments at reduced ``scale``; sizes are
-        rounded to a whole number of sets.
+        rounded down to a power-of-two number of sets (at least one).
+        ``factor`` must be finite and positive.
         """
+        if not (math.isfinite(factor) and factor > 0):
+            raise ConfigurationError(
+                f"scale factor must be finite and positive, got {factor}"
+            )
         geo = self.geometry
         new_size = max(
             geo.assoc * geo.block_size, int(geo.size * factor)
@@ -89,6 +94,9 @@ class HierarchyConfig:
     eviction — the property the paper notes makes CAT experiments slightly
     conservative (§IV-B).  Only supported with uniform block sizes; it
     makes :func:`simulate_hierarchy` run the per-access loop.
+
+    The paper's platforms are data in :mod:`repro.hw.catalog`;
+    :func:`repro.hw.adapters.hierarchy_config` builds their configurations.
     """
 
     l1i: CacheLevelConfig
@@ -136,37 +144,6 @@ class HierarchyConfig:
             l3=replace(
                 self.l3,
                 geometry=CacheGeometry(size, new_assoc, geo.block_size),
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Reference platforms (Table II)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def plt1_like(cls, l3_size: int = 40 * MiB, l3_assoc: int = 20) -> "HierarchyConfig":
-        """The paper's simulated PLT1-like system (§III-A).
-
-        32 KiB L1-I/L1-D and a 256 KiB unified L2 per thread, all 8-way, and
-        a shared L3 (40 MiB, 20-way by default), 64-byte blocks.
-        """
-        return cls(
-            l1i=CacheLevelConfig("L1I", CacheGeometry(32 * KiB, 8)),
-            l1d=CacheLevelConfig("L1D", CacheGeometry(32 * KiB, 8)),
-            l2=CacheLevelConfig("L2", CacheGeometry(256 * KiB, 8)),
-            l3=CacheLevelConfig("L3", CacheGeometry(l3_size, l3_assoc), shared=True),
-        )
-
-    @classmethod
-    def plt2_like(cls) -> "HierarchyConfig":
-        """A POWER8-like hierarchy (Table II): 128 B blocks, 64 KiB L1-D,
-        512 KiB L2, 96 MiB shared L3."""
-        return cls(
-            l1i=CacheLevelConfig("L1I", CacheGeometry(32 * KiB, 8, 128)),
-            l1d=CacheLevelConfig("L1D", CacheGeometry(64 * KiB, 8, 128)),
-            l2=CacheLevelConfig("L2", CacheGeometry(512 * KiB, 8, 128)),
-            l3=CacheLevelConfig(
-                "L3", CacheGeometry(96 * MiB, 8, 128), shared=True
             ),
         )
 

@@ -71,20 +71,6 @@ def set_indices(lines: np.ndarray, num_sets: int) -> np.ndarray:
     return (np.asarray(lines, np.int64) % num_sets).astype(np.int64)
 
 
-def shard_of_sets(sets: np.ndarray, shards: int) -> np.ndarray:
-    """Shard index of each access for set-partitioned parallel replay.
-
-    LRU sets are mutually independent, so partitioning accesses by
-    ``set % shards`` keeps every set's subsequence intact inside exactly
-    one shard — each shard can be replayed by a separate worker and the
-    scattered-back hit masks are identical to an unsharded replay
-    (:func:`repro.cachesim.fused.sharded_lru_hits`).
-    """
-    if shards <= 0:
-        raise ConfigurationError(f"shards must be positive, got {shards}")
-    return (np.asarray(sets, np.int64) % shards).astype(np.int64)
-
-
 def _packed_key_bits(n: int, span: int) -> int | None:
     """Position-field width of the packed grouping key, or ``None``.
 

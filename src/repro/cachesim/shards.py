@@ -558,7 +558,8 @@ def shards_hit_rates(
     The offline convenience mirror of
     :func:`repro.cachesim.mattson.hit_rate_for_capacities` — same
     signature shape, estimated instead of exact — used by the accuracy
-    gates and the ``adaptive`` experiment's estimator table.
+    tests (the ``adaptive`` experiment drives :class:`ShardsEnsemble`
+    directly).
     ``replicas > 1`` averages that many hash-replicated estimators
     (:class:`ShardsEnsemble`).
     """

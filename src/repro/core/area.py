@@ -66,11 +66,3 @@ class AreaModel:
                 f"design exceeds the area budget by {-slack:.2f} MiB"
             )
         return max(0.0, slack)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def plt1_baseline_area(model: "AreaModel | None" = None) -> float:
-        """Area of the paper's PLT1 baseline: 18 cores + 45 MiB L3."""
-        model = model or AreaModel()
-        return model.total_area_mib(18, 45.0)

@@ -11,7 +11,9 @@ paper's four scenarios:
   direct-mapped, validating the simple design).
 * **future** — memory latency and L3 misses both grown 10%; +38%.
 
-The evaluator needs two inputs:
+Besides the Eq. 1 and area models (the paper's come from
+:func:`repro.experiments.common.paper_models`), the evaluator needs two
+inputs:
 
 1. an **L4 demand stream source** — anything exposing ``block_size``,
    ``l3_hit_rate(capacity_bytes)`` and ``l4_demand(capacity_bytes)``;
@@ -151,10 +153,10 @@ class HierarchyDesignEvaluator:
     def __init__(
         self,
         stream_source: L3StreamSource,
+        perf_model: SearchPerfModel,
+        area_model: AreaModel,
         scale: float = 1.0,
         l3_hit_fn: Callable[[int], float] | None = None,
-        perf_model: SearchPerfModel | None = None,
-        area_model: AreaModel | None = None,
         baseline_cores: int = 18,
         baseline_l3_mib: float = 45.0,
         design_cores: int = 23,
@@ -165,8 +167,8 @@ class HierarchyDesignEvaluator:
         self.source = stream_source
         self.scale = scale
         self.l3_hit_fn = l3_hit_fn
-        self.perf_model = perf_model or SearchPerfModel()
-        self.area_model = area_model or AreaModel()
+        self.perf_model = perf_model
+        self.area_model = area_model
         self.baseline_cores = baseline_cores
         self.baseline_l3_mib = baseline_l3_mib
         self.design_cores = design_cores

@@ -103,15 +103,14 @@ class PowerModel:
 
     def iso_power_area_saving(
         self,
+        area_model: AreaModel,
         l3_mib_per_core: float = 1.0,
         baseline_l3_mib_per_core: float = 2.5,
-        area_model: AreaModel | None = None,
     ) -> float:
         """Area saved by shrinking the L3 while keeping the core count.
 
         The paper: 18 cores at 1 MiB/core reduces core+cache area by 23%.
         """
-        area_model = area_model or AreaModel()
         baseline = area_model.total_area_mib(
             self.baseline_cores, self.baseline_cores * baseline_l3_mib_per_core
         )

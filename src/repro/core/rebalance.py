@@ -48,7 +48,8 @@ class CacheForCoresOptimizer:
     hit_rate_fn:
         Maps an L3 capacity in bytes to the L3 hit rate of the workload.
     perf_model, area_model:
-        Calibrated models; defaults are the paper's.
+        Calibrated models (the paper's come from
+        :func:`repro.experiments.common.paper_models`).
     baseline_cores, baseline_l3_mib:
         The reference design (PLT1: 18 cores, 45 MiB).
     """
@@ -56,8 +57,8 @@ class CacheForCoresOptimizer:
     def __init__(
         self,
         hit_rate_fn: Callable[[int], float],
-        perf_model: SearchPerfModel | None = None,
-        area_model: AreaModel | None = None,
+        perf_model: SearchPerfModel,
+        area_model: AreaModel,
         baseline_cores: int = 18,
         baseline_l3_mib: float = 45.0,
     ) -> None:
@@ -66,8 +67,8 @@ class CacheForCoresOptimizer:
         if baseline_l3_mib <= 0:
             raise ConfigurationError("baseline_l3_mib must be positive")
         self.hit_rate_fn = hit_rate_fn
-        self.perf_model = perf_model or SearchPerfModel()
-        self.area_model = area_model or AreaModel()
+        self.perf_model = perf_model
+        self.area_model = area_model
         self.baseline_cores = baseline_cores
         self.baseline_l3_mib = baseline_l3_mib
         self.area_budget_mib = self.area_model.total_area_mib(

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro._units import MiB
 from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.cachesim.opt import opt_hit_rate
-from repro.core.l4cache import L4Cache, L4Config
+from repro.core.l4cache import L4Cache
+from repro.experiments import common
 from repro.experiments.common import ExperimentResult, RunPreset, composed_run
 from repro.memtrace.synthetic import generate_segment_streams, generate_trace
 from repro.memtrace.trace import Segment
@@ -46,14 +45,13 @@ def l4_synergy_rows(result: ExperimentResult, preset: RunPreset) -> None:
     """L4 hit rate fed by the rebalanced vs the baseline L3."""
     run = composed_run("s1-leaf", preset, platform="plt1")
     l4_capacity = max(64, int(1024 * MiB * preset.scale))
+    l4_config = common.paper_models().l4_config(l4_capacity)
     rates = {}
     for label, l3_mib in (("23 MiB L3 (design)", _DESIGN_L3_MIB),
                           ("45 MiB L3 (baseline)", _BASELINE_L3_MIB)):
         l3_capacity = max(64, int(l3_mib * MiB * preset.scale))
         lines, segments = run.l4_demand(l3_capacity, seed=preset.seed)
-        rates[label] = L4Cache(L4Config(capacity=l4_capacity)).simulate(
-            lines, segments
-        ).hit_rate
+        rates[label] = L4Cache(l4_config).simulate(lines, segments).hit_rate
         result.add(series="l4-synergy", config=label, l4_hit=round(rates[label], 3))
     design, base = rates["23 MiB L3 (design)"], rates["45 MiB L3 (baseline)"]
     result.note(
@@ -134,7 +132,9 @@ def l4_block_rows(result: ExperimentResult, preset: RunPreset) -> None:
 def composition_vs_flat_rows(result: ExperimentResult, preset: RunPreset) -> None:
     """The composed engine against a literal flat trace at matched rates."""
     from repro.cachesim.composed import ComposedHierarchy, SegmentRates
-    from repro.cachesim.hierarchy import HierarchyConfig, analytic_hierarchy
+    from repro.cachesim.hierarchy import analytic_hierarchy
+    from repro.hw import catalog
+    from repro.hw.adapters import hierarchy_config
 
     rates = SegmentRates(code=100.0, heap=40.0, shard=25.0, stack=15.0)
     profile = get_profile("s1-leaf")
@@ -146,8 +146,10 @@ def composition_vs_flat_rows(result: ExperimentResult, preset: RunPreset) -> Non
         shard_fraction=0.3125,
         stack_fraction=0.1875,
     ).scaled(preset.scale / 4)
-    hierarchy = HierarchyConfig.plt1_like(l3_size=4 * MiB, l3_assoc=8).scaled(
-        preset.scale / 4
+    hierarchy = (
+        hierarchy_config(catalog.plt1_simulated())
+        .with_l3_size(4 * MiB, assoc=8)
+        .scaled(preset.scale / 4)
     )
 
     trace = generate_trace(memory, 150_000, seed=preset.seed, threads=1)

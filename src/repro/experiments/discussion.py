@@ -19,13 +19,15 @@ design stays within the SLO.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro._units import MiB
 from repro.cachesim.composition import CompositeCache
 from repro.core.hitcurve import LogLinearHitCurve
 from repro.core.l4_extensions import PrefetchBufferModel, WriteBufferModel
-from repro.core.l4cache import L4Cache, L4Config
-from repro.core.perf_model import MemoryLatencies, SearchPerfModel
+from repro.core.l4cache import L4Cache
 from repro.cpu.topdown import PipelineMetrics, TopDownModel
+from repro.experiments import common
 from repro.experiments.common import ExperimentResult, RunPreset, composed_run
 from repro.memtrace.trace import Segment
 from repro.search.latency import QueryLatencyModel
@@ -101,8 +103,6 @@ def bigger_l2_rows(result: ExperimentResult, preset: RunPreset) -> None:
                 for seg in (Segment.HEAP, Segment.SHARD, Segment.STACK)
             ),
         )
-        from dataclasses import replace
-
         adjusted = replace(model, l1i_penalty=model.l1i_penalty + l1i_extra_penalty)
         return adjusted.ipc(metrics)
 
@@ -152,15 +152,18 @@ def l4_extension_rows(result: ExperimentResult, preset: RunPreset) -> None:
     l3_capacity = max(64, int(_DESIGN_L3_MIB * MiB * preset.scale))
     lines, segments = run.l4_demand(l3_capacity, seed=preset.seed)
     l4_capacity = max(64, int(1024 * MiB * preset.scale))
-    config = L4Config(capacity=l4_capacity)
+    models = common.paper_models()
+    config = models.l4_config(l4_capacity)
     base = L4Cache(config).simulate(lines, segments)
 
     # Write buffering: shave turnaround off the DRAM path of L4 misses.
     saving = WriteBufferModel().read_latency_saving_ns(writeback_fraction=0.25)
-    model = SearchPerfModel()
+    model = models.perf
     curve = LogLinearHitCurve.fig10_effective()
     h3 = curve(_DESIGN_L3_MIB * MiB)
-    faster = model.with_latencies(MemoryLatencies(mem_ns=110.0 - saving))
+    faster = model.with_latencies(
+        replace(models.latencies, mem_ns=models.latencies.mem_ns - saving)
+    )
     qps_plain = model.qps(23, h3, l4_hit_rate=base.hit_rate)
     qps_buffered = faster.qps(23, h3, l4_hit_rate=base.hit_rate)
     result.add(
@@ -195,16 +198,19 @@ def numa_rows(result: ExperimentResult, preset: RunPreset) -> None:
     l3_capacity = max(64, int(_DESIGN_L3_MIB * MiB * preset.scale))
     lines, segments = run.l4_demand(l3_capacity, seed=preset.seed)
     l4_capacity = max(64, int(1024 * MiB * preset.scale))
-    hit = L4Cache(L4Config(capacity=l4_capacity)).simulate(lines, segments).hit_rate
+    models = common.paper_models()
+    hit = L4Cache(models.l4_config(l4_capacity)).simulate(lines, segments).hit_rate
 
     curve = LogLinearHitCurve.fig10_effective()
     h3 = curve(_DESIGN_L3_MIB * MiB)
-    base_model = SearchPerfModel()
+    base_model = models.perf
     qps_base = base_model.qps(18, curve(45 * MiB))
     for remote_fraction in (0.0, 0.25, 0.5):
         # Remote L4 hits pay a QPI-class penalty on top of the 40 ns.
-        effective_l4_ns = 40.0 + remote_fraction * 60.0
-        model = base_model.with_latencies(MemoryLatencies(l4_hit_ns=effective_l4_ns))
+        effective_l4_ns = models.latencies.l4_hit_ns + remote_fraction * 60.0
+        model = base_model.with_latencies(
+            replace(models.latencies, l4_hit_ns=effective_l4_ns)
+        )
         qps = model.qps(23, h3, l4_hit_rate=hit)
         result.add(
             series="numa",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.hitcurve import LogLinearHitCurve
 from repro.core.rebalance import CacheForCoresOptimizer
+from repro.experiments import common
 from repro.experiments.common import ExperimentResult, RunPreset
 from repro.experiments.fig10 import RATIOS
 
@@ -20,8 +21,11 @@ TITLE = "Core-gain vs. cache-loss decomposition of the trade-off"
 def run(preset: RunPreset | None = None) -> ExperimentResult:
     """Tabulate both curves and the net effect per ratio."""
     result = ExperimentResult(EXPERIMENT_ID, TITLE)
+    models = common.paper_models()
     optimizer = CacheForCoresOptimizer(
-        hit_rate_fn=LogLinearHitCurve.fig10_effective()
+        hit_rate_fn=LogLinearHitCurve.fig10_effective(),
+        perf_model=models.perf,
+        area_model=models.area,
     )
     best_gap, best_ratio = -1.0, None
     for ratio in RATIOS:

@@ -11,7 +11,8 @@ overhead, and the latency budget vs. commercial eDRAM parts.
 from __future__ import annotations
 
 from repro._units import MiB, format_size
-from repro.core.l4cache import L4Cache, L4Config
+from repro.core.l4cache import L4Cache
+from repro.experiments import common
 from repro.experiments.common import ExperimentResult, RunPreset, composed_run
 
 EXPERIMENT_ID = "fig12"
@@ -22,8 +23,9 @@ def run(preset: RunPreset | None = None) -> ExperimentResult:
     """Physical design numbers for the swept L4 capacities."""
     preset = preset or RunPreset.quick()
     result = ExperimentResult(EXPERIMENT_ID, TITLE)
+    models = common.paper_models()
     for paper_mib in (128, 256, 512, 1024, 2048):
-        cache = L4Cache(L4Config(capacity=paper_mib * MiB))
+        cache = L4Cache(models.l4_config(paper_mib * MiB))
         layout = cache.row_layout()
         result.add(
             capacity=format_size(paper_mib * MiB),
@@ -35,7 +37,7 @@ def run(preset: RunPreset | None = None) -> ExperimentResult:
             ),
             hit_ns=cache.config.hit_ns,
         )
-    layout = L4Cache(L4Config()).row_layout()
+    layout = L4Cache(models.l4_config()).row_layout()
     result.note(
         f"one 2 KiB eDRAM row holds {layout['entries_per_row']} tag+data "
         f"entries ({layout['wasted_bytes_per_row']} bytes slack) — one row "

@@ -8,10 +8,11 @@
 from __future__ import annotations
 
 from repro._units import KiB, MiB
-from repro.cachesim.hierarchy import HierarchyConfig, simulate_hierarchy
+from repro.cachesim.hierarchy import simulate_hierarchy
 from repro.cachesim.prefetch import NextLinePrefetcher, StreamPrefetcher
 from repro.cpu.scaling import CoreScalingModel
 from repro.cpu.smt import SmtModel
+from repro.experiments import common
 from repro.experiments.common import ExperimentResult, RunPreset, composed_run
 from repro.memtrace.synthetic import generate_trace
 from repro.workloads.profiles import get_profile
@@ -112,7 +113,7 @@ def prefetch_rows(result: ExperimentResult, preset: RunPreset) -> None:
     trace = generate_trace(
         profile.memory.scaled(preset.scale), 120_000, seed=preset.seed, threads=1
     )
-    config = HierarchyConfig.plt1_like().scaled(preset.scale)
+    config = common.platform_hierarchy("plt1", preset)
 
     base = simulate_hierarchy(trace, config)
     prefetched = simulate_hierarchy(

@@ -15,7 +15,9 @@ from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.fused import simulate_hierarchy_sweep
 from repro.cachesim.hierarchy import HierarchyConfig
 from repro.cachesim.missclass import classify_misses
+from repro.experiments import common
 from repro.experiments.common import ExperimentResult, RunPreset
+from repro.hw import catalog
 from repro.memtrace.synthetic import generate_trace
 from repro.workloads.profiles import get_profile
 
@@ -48,7 +50,7 @@ def _trace(preset: RunPreset, instructions: int):
 def associativity_rows(result: ExperimentResult, preset: RunPreset) -> None:
     """Panel (a): set-associative vs. fully-associative MPKI per level."""
     trace = _trace(preset, 60_000)
-    config = HierarchyConfig.plt1_like().scaled(preset.scale)
+    config = common.platform_hierarchy("plt1", preset)
     full = HierarchyConfig(
         l1i=_fully(config.l1i),
         l1d=_fully(config.l1d),
@@ -89,9 +91,11 @@ def block_size_rows(result: ExperimentResult, preset: RunPreset) -> None:
     trace = _trace(preset, 60_000)
     data = trace.data()
     instructions = trace.instruction_count
-    l1d_size = HierarchyConfig.plt1_like().l1d.geometry.size
+    l1d = catalog.plt1_simulated().l1d
     for block in _BLOCK_SIZES:
-        geometry = CacheGeometry(size=l1d_size, assoc=8, block_size=block)
+        geometry = CacheGeometry(
+            size=l1d.size_bytes, assoc=l1d.assoc, block_size=block
+        )
         breakdown = classify_misses(data.lines(block), geometry)
         mpki = breakdown.misses / (instructions / 1000.0)
         result.add(
@@ -112,7 +116,7 @@ def miss_type_rows(result: ExperimentResult, preset: RunPreset) -> None:
 
     instructions = int(500_000 * max(1.0, preset.scale * 64))
     trace = _trace(preset, instructions)
-    config = HierarchyConfig.plt1_like().scaled(preset.scale)
+    config = common.platform_hierarchy("plt1", preset)
     for segment in (Segment.HEAP, Segment.SHARD):
         lines = trace.only_segment(segment).lines(64)
         breakdown = classify_misses(lines, config.l3.geometry)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro._units import MiB
 from repro.core.hitcurve import LogLinearHitCurve
-from repro.core.perf_model import SearchPerfModel
+from repro.experiments import common
 from repro.experiments.common import ExperimentResult, RunPreset
 from repro.obs.metrics import MetricsRegistry
 
@@ -24,7 +24,7 @@ TITLE = "IPC vs. L3 hit rate and AMAT (Eq. 1)"
 def sweep() -> list[dict]:
     """One row per CAT way-count: capacity, hit rate, AMAT, IPC."""
     curve = LogLinearHitCurve.fig8_demand()
-    model = SearchPerfModel()
+    model = common.paper_models().perf
     rows = []
     for ways in range(2, 21, 2):
         capacity = int(ways * 2.25 * MiB)

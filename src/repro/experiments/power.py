@@ -48,7 +48,7 @@ def run(preset: RunPreset | None = None) -> ExperimentResult:
     # CAT-grid contention effects, so the *demand* hit curve applies (the
     # effective Figure 9/10 curve would overstate the loss).
     demand_curve = LogLinearHitCurve.fig8_demand()
-    saving = power.iso_power_area_saving(l3_mib_per_core=1.0)
+    saving = power.iso_power_area_saving(models.area, l3_mib_per_core=1.0)
     qps_iso = 18 * perf.ipc_from_hit_rates(demand_curve(18 * MiB))
     qps_base = 18 * perf.ipc_from_hit_rates(demand_curve(45 * MiB))
     result.add(

@@ -6,10 +6,11 @@ serializable :class:`~repro.hw.spec.HardwareSpec` objects built from
 bandwidth, latency, area, and per-access energy, in the style of
 ZigZag's ``MemoryInstance``/``MemoryHierarchy`` model.  The adapters in
 :mod:`repro.hw.adapters` derive every hand-calibrated model object the
-experiments consume (``HierarchyConfig``, ``PlatformSpec``,
-``AreaModel``, ``PowerModel``, ``MemoryLatencies``, ``L4Config``) from
-a spec, so PLT1/PLT2 and the proposed system are data, not code; the
-catalog in :mod:`repro.hw.catalog` holds the paper's instances.
+experiments consume (``HierarchyConfig``, ``AreaModel``, ``PowerModel``,
+``MemoryLatencies``, ``L4Config``) from a spec, so PLT1/PLT2 and the
+proposed system are data, not code; the catalog in
+:mod:`repro.hw.catalog` holds the paper's instances, and it is the only
+machine description: Table II renders straight from it.
 """
 
 from repro.hw.adapters import DerivedModels, derive_models

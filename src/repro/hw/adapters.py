@@ -50,42 +50,6 @@ def hierarchy_config(spec: HardwareSpec) -> HierarchyConfig:
     )
 
 
-def platform_spec(spec: HardwareSpec) -> "object":
-    """The spec as a Table II :class:`~repro.platforms.specs.PlatformSpec`.
-
-    Imported lazily because :mod:`repro.platforms.specs` itself derives
-    its ``PLT1``/``PLT2`` constants through this adapter.
-    """
-    from repro.platforms.specs import PlatformSpec
-
-    if spec.l1i.assoc != spec.l1d.assoc:
-        raise ConfigurationError(
-            "PlatformSpec carries one L1 associativity; "
-            f"got L1-I {spec.l1i.assoc}-way vs L1-D {spec.l1d.assoc}-way"
-        )
-    return PlatformSpec(
-        name=spec.name,
-        microarchitecture=spec.microarchitecture,
-        sockets=spec.sockets,
-        cores_per_socket=spec.cores_per_socket,
-        smt_ways=spec.smt_ways,
-        cache_block_bytes=spec.cache_block_bytes,
-        l1i_bytes=spec.l1i.size_bytes,
-        l1d_bytes=spec.l1d.size_bytes,
-        l2_bytes=spec.l2.size_bytes,
-        l3_bytes_per_socket=spec.l3.size_bytes,
-        memory_bytes=spec.memory.size_bytes,
-        small_page_bytes=spec.small_page_bytes,
-        huge_page_bytes=spec.huge_page_bytes,
-        issue_width=spec.issue_width,
-        frequency_ghz=spec.frequency_ghz,
-        l1_assoc=spec.l1i.assoc,
-        l2_assoc=spec.l2.assoc,
-        l3_assoc=spec.l3.assoc,
-        calibration=spec.calibration,
-    )
-
-
 def area_model(spec: HardwareSpec) -> AreaModel:
     """The spec's die-area accounting (equivalent L3 MiB per core)."""
     return AreaModel(core_equiv_mib=spec.core_area_mib)

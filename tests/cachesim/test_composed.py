@@ -5,10 +5,14 @@ import pytest
 
 from repro._units import MiB
 from repro.cachesim.composed import ComposedHierarchy, SegmentRates
-from repro.cachesim.hierarchy import HierarchyConfig
 from repro.errors import ConfigurationError
+from repro.hw import catalog
+from repro.hw.adapters import hierarchy_config
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
 from repro.memtrace.trace import Segment
+
+#: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
+PLT1_SIM = hierarchy_config(catalog.plt1_simulated())
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +30,13 @@ def streams():
 
 @pytest.fixture(scope="module")
 def hierarchy(streams):
-    config = HierarchyConfig.plt1_like(l3_size=40 * MiB).scaled(1 / 64)
+    config = PLT1_SIM.scaled(1 / 64)
     return ComposedHierarchy(streams, SegmentRates(), config, threads=8)
 
 
 class TestConstruction:
     def test_requires_core_segments(self):
-        config = HierarchyConfig.plt1_like().scaled(1 / 64)
+        config = PLT1_SIM.scaled(1 / 64)
         with pytest.raises(ConfigurationError):
             ComposedHierarchy({}, SegmentRates(), config)
 
@@ -42,7 +46,7 @@ class TestConstruction:
         from repro.cachesim.cache import CacheGeometry
         from repro.cachesim.hierarchy import CacheLevelConfig
 
-        config = HierarchyConfig.plt1_like().scaled(1 / 64)
+        config = PLT1_SIM.scaled(1 / 64)
         bad = replace(
             config,
             l1d=CacheLevelConfig("L1D", CacheGeometry(1024, 8, 128)),
@@ -51,7 +55,7 @@ class TestConstruction:
             ComposedHierarchy(streams, SegmentRates(), bad)
 
     def test_rejects_bad_threads(self, streams):
-        config = HierarchyConfig.plt1_like().scaled(1 / 64)
+        config = PLT1_SIM.scaled(1 / 64)
         with pytest.raises(ConfigurationError):
             ComposedHierarchy(streams, SegmentRates(), config, threads=0)
 

@@ -26,7 +26,6 @@ from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.cachesim.fastsim import (
     CASCADE_MAX_WAYS,
     fast_lru_hits,
-    fast_lru_hits_for_sets,
     fast_stack_distances,
 )
 from repro.cachesim.hierarchy import (
@@ -38,9 +37,14 @@ from repro.cachesim.mattson import COLD, hit_rate_for_capacities, stack_distance
 from repro.cachesim.missclass import MissBreakdown, classify_misses
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.errors import TraceError
+from repro.hw import catalog
+from repro.hw.adapters import hierarchy_config
 from repro.memtrace.synthetic import generate_trace
 from repro.workloads.profiles import get_profile
 from tests.cachesim.loop_oracles import access_hits, lru_hits
+
+#: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
+PLT1_SIM = hierarchy_config(catalog.plt1_simulated())
 
 
 @st.composite
@@ -189,7 +193,7 @@ class TestHierarchyReplay:
         trace = generate_trace(
             get_profile("s1-leaf").memory.scaled(scale), 8_000, seed=7, threads=2
         )
-        base = HierarchyConfig.plt1_like().scaled(scale)
+        base = PLT1_SIM.scaled(scale)
 
         def fully(level):
             geo = level.geometry
@@ -278,7 +282,7 @@ class TestAdversarialTraces:
         )
 
     def test_explicit_set_indices_variant(self):
-        """The explicit-sets entry point (set-sharded replay)."""
+        """The explicit-set-index kernel behind ``fast_lru_hits``."""
         rng = np.random.default_rng(5)
         lines = rng.integers(0, 400, 2000).astype(np.int64)
         num_sets, ways = 13, 3
@@ -286,7 +290,7 @@ class TestAdversarialTraces:
         geometry = CacheGeometry(size=num_sets * ways * 64, assoc=ways)
         assert np.array_equal(
             lru_hits(geometry, lines),
-            fast_lru_hits_for_sets(lines, sets, ways),
+            fastsim._hits_for_set_stream(lines, sets, ways),
         )
 
 
@@ -451,7 +455,7 @@ class TestEngineSelection:
             segment=np.zeros(64, np.uint8),
             thread=np.zeros(64, np.uint16),
         )
-        config = HierarchyConfig.plt1_like().scaled(1 / 256)
+        config = PLT1_SIM.scaled(1 / 256)
         fastsim.reset_counters()
         simulate_hierarchy(trace, config)
         assert fastsim.counters_snapshot()["fallbacks"] == 0

@@ -4,8 +4,8 @@ The contract of :mod:`repro.cachesim.fused` extends the fastsim one from
 single runs to whole sweeps: a fused multi-level sweep must equal
 sequential per-level simulation with warm-state handoff, a one-pass
 Mattson associativity ladder must equal per-size replay, a filtered
-miss-ratio curve must equal one built from scratch, and a set-sharded
-replay must equal the serial kernel — all bit for bit.
+and a filtered miss-ratio curve must equal one built from scratch — all
+bit for bit.
 
 Run with ``HYPOTHESIS_PROFILE=ci`` for the heavy fixed-corpus version
 (see ``tests/conftest.py``).
@@ -18,20 +18,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cachesim import fastsim, fused
+from repro.cachesim import fastsim
 from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.composed import ComposedHierarchy, SegmentRates
 from repro.cachesim.composition import CompositeCache, solve_windows
-from repro.cachesim.fastsim import (
-    fast_lru_hits,
-    fast_lru_hits_for_sets,
-    fast_lru_hits_ladder,
-)
-from repro.cachesim.fused import (
-    sharded_lru_hits,
-    sharded_lru_hits_for_sets,
-    simulate_hierarchy_sweep,
-)
+from repro.cachesim.fastsim import fast_lru_hits, fast_lru_hits_ladder
+from repro.cachesim.fused import simulate_hierarchy_sweep
 from repro.cachesim.hierarchy import (
     CacheLevelConfig,
     HierarchyConfig,
@@ -47,8 +39,13 @@ from repro.cachesim.mattson import (
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.cpu.tlb import TlbConfig, simulate_tlb
 from repro.errors import ConfigurationError, TraceError
+from repro.hw import catalog
+from repro.hw.adapters import hierarchy_config
 from repro.memtrace.trace import AccessKind, Segment, Trace
 from tests.cachesim import loop_oracles
+
+#: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
+PLT1_SIM = hierarchy_config(catalog.plt1_simulated())
 
 line_streams = st.lists(
     st.integers(min_value=0, max_value=300), min_size=1, max_size=400
@@ -224,8 +221,6 @@ class TestFusedSweep:
         )
         with pytest.raises(ConfigurationError):
             simulate_hierarchy_sweep(trace, [])
-        with pytest.raises(ConfigurationError):
-            simulate_hierarchy_sweep(trace, [_tiny_hierarchy()], jobs=0)
 
 
 class TestFilteredCurve:
@@ -259,50 +254,6 @@ class TestFilteredCurve:
             curve.filtered(np.zeros(10, bool))
 
 
-class TestShardedReplay:
-    """Set-sharded replay == serial kernel, counters included."""
-
-    @given(line_streams, st.integers(1, 16), st.integers(1, 4))
-    def test_small_streams_run_in_process(self, lines, num_sets, jobs):
-        ways = 3
-        assert np.array_equal(
-            sharded_lru_hits(lines, num_sets, ways, jobs=jobs),
-            fast_lru_hits(lines, num_sets, ways),
-        )
-
-    def test_spawn_pool_matches_serial_and_merges_counters(
-        self, monkeypatch
-    ):
-        # Force the pool path on a small stream, then check both the mask
-        # and the merged worker counter deltas against a serial replay.
-        monkeypatch.setattr(fused, "MIN_SHARDED_ACCESSES", 1)
-        rng = np.random.default_rng(3)
-        lines = rng.integers(0, 700, 4000).astype(np.int64)
-        num_sets, ways = 13, 3
-        sets = (lines % num_sets).astype(np.int64)
-
-        fastsim.reset_counters()
-        serial = fast_lru_hits_for_sets(lines, sets, ways)
-        serial_counters = fastsim.counters_snapshot()
-
-        fastsim.reset_counters()
-        sharded = sharded_lru_hits_for_sets(lines, sets, ways, jobs=2)
-        sharded_counters = fastsim.counters_snapshot()
-
-        assert np.array_equal(serial, sharded)
-        assert sharded_counters["accesses"] == serial_counters["accesses"]
-        assert sharded_counters["kernel_calls"] >= 1
-
-    def test_sharded_validates(self):
-        lines = np.arange(10, dtype=np.int64)
-        with pytest.raises(ConfigurationError):
-            sharded_lru_hits(lines, 0, 2)
-        with pytest.raises(ConfigurationError):
-            sharded_lru_hits_for_sets(lines, lines[:3], 2)
-        with pytest.raises(ConfigurationError):
-            sharded_lru_hits_for_sets(lines, lines, 2, jobs=0)
-
-
 class TestTlbEngines:
     """The vectorized TLB is a stack-distance corollary of the caches'."""
 
@@ -328,7 +279,7 @@ class TestComposedFusion:
         }
 
     def _run(self, streams, **kwargs):
-        config = HierarchyConfig.plt1_like().scaled(1 / 256)
+        config = PLT1_SIM.scaled(1 / 256)
         return ComposedHierarchy(
             streams, SegmentRates(), config, threads=2, **kwargs
         )

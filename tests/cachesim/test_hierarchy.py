@@ -14,8 +14,13 @@ from repro.cachesim.hierarchy import (
 )
 from repro.cachesim.prefetch import StreamPrefetcher
 from repro.errors import ConfigurationError, SimulationError
+from repro.hw import catalog
+from repro.hw.adapters import hierarchy_config
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
 from repro.memtrace.trace import AccessKind, Segment, Trace
+
+#: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
+PLT1_SIM = hierarchy_config(catalog.plt1_simulated())
 
 
 @pytest.fixture(scope="module")
@@ -26,19 +31,19 @@ def trace():
 
 @pytest.fixture
 def config():
-    return HierarchyConfig.plt1_like(l3_size=2 * MiB, l3_assoc=8)
+    return PLT1_SIM.with_l3_size(2 * MiB, assoc=8)
 
 
 class TestHierarchyConfig:
     def test_plt1_defaults(self):
-        config = HierarchyConfig.plt1_like()
+        config = PLT1_SIM
         assert config.l1i.geometry.size == 32 * KiB
         assert config.l2.geometry.size == 256 * KiB
         assert config.l3.geometry.size == 40 * MiB
         assert config.l3.shared
 
     def test_plt2_block_size(self):
-        config = HierarchyConfig.plt2_like()
+        config = hierarchy_config(catalog.plt2())
         assert config.l1d.geometry.block_size == 128
         assert config.l3.geometry.size == 96 * MiB
 
@@ -52,21 +57,29 @@ class TestHierarchyConfig:
             )
 
     def test_with_l3_ways(self):
-        config = HierarchyConfig.plt1_like().with_l3_ways(4)
+        config = PLT1_SIM.with_l3_ways(4)
         assert config.l3.geometry.effective_size == 8 * MiB
 
     def test_with_l3_size(self):
-        config = HierarchyConfig.plt1_like().with_l3_size(10 * MiB)
+        config = PLT1_SIM.with_l3_size(10 * MiB)
         assert config.l3.geometry.size == 10 * MiB
 
     def test_scaled_preserves_structure(self):
-        config = HierarchyConfig.plt1_like().scaled(1 / 16)
+        config = PLT1_SIM.scaled(1 / 16)
         assert config.l1i.geometry.size == 2 * KiB
         assert config.l1i.geometry.assoc == 8
         assert config.l3.geometry.size <= 40 * MiB // 16
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scaled_rejects_bad_factor(self, factor):
+        """Typed error, not a one-set cache, ValueError or OverflowError."""
+        with pytest.raises(ConfigurationError, match="scale factor"):
+            PLT1_SIM.l3.scaled(factor)
+        with pytest.raises(ConfigurationError, match="scale factor"):
+            PLT1_SIM.scaled(factor)
+
     def test_levels_listing(self):
-        config = HierarchyConfig.plt1_like()
+        config = PLT1_SIM
         assert [l.name for l in config.levels()] == ["L1I", "L1D", "L2", "L3"]
 
 
@@ -90,16 +103,16 @@ class TestExactEngine:
 
     def test_bigger_l3_fewer_misses(self, trace):
         small = simulate_hierarchy(
-            trace, HierarchyConfig.plt1_like(l3_size=64 * KiB, l3_assoc=8)
+            trace, PLT1_SIM.with_l3_size(64 * KiB, assoc=8)
         )
         large = simulate_hierarchy(
-            trace, HierarchyConfig.plt1_like(l3_size=4 * MiB, l3_assoc=8)
+            trace, PLT1_SIM.with_l3_size(4 * MiB, assoc=8)
         )
         assert large.level("L3").total_misses <= small.level("L3").total_misses
 
     def test_inclusive_never_better(self, trace):
         """Back-invalidations can only add upper-level misses."""
-        base_config = HierarchyConfig.plt1_like(l3_size=128 * KiB, l3_assoc=8).scaled(1 / 4)
+        base_config = PLT1_SIM.with_l3_size(128 * KiB, assoc=8).scaled(1 / 4)
         base = simulate_hierarchy(trace, base_config)
         from dataclasses import replace
 

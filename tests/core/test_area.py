@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 class TestAreaModel:
     def test_plt1_baseline_area(self):
         """18 cores + 45 MiB at 4 MiB/core-equivalent = 117 MiB."""
-        assert AreaModel.plt1_baseline_area() == pytest.approx(117.0)
+        assert AreaModel().total_area_mib(18, 45.0) == pytest.approx(117.0)
 
     def test_cores_for_area_paper_sweet_spot(self):
         """117 MiB at 1 MiB/core quantizes to the paper's 23 cores."""

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from repro._units import MiB
+from repro.core.area import AreaModel
 from repro.core.hitcurve import LogLinearHitCurve
 from repro.core.optimizer import (
     DesignEvaluation,
     HierarchyDesignEvaluator,
     SensitivityScenario,
 )
+from repro.core.perf_model import SearchPerfModel
 from repro.errors import ConfigurationError
+
+#: The paper's Eq. 1 and area models.
+MODELS = dict(perf_model=SearchPerfModel(), area_model=AreaModel())
 
 
 class FakeStreamSource:
@@ -44,6 +49,7 @@ def evaluator():
         stream_source=FakeStreamSource(),
         scale=1 / 512,
         l3_hit_fn=LogLinearHitCurve.fig10_effective(),
+        **MODELS,
     )
 
 
@@ -97,4 +103,6 @@ class TestEvaluate:
 
     def test_scale_validated(self):
         with pytest.raises(ConfigurationError):
-            HierarchyDesignEvaluator(stream_source=FakeStreamSource(), scale=2.0)
+            HierarchyDesignEvaluator(
+                stream_source=FakeStreamSource(), scale=2.0, **MODELS
+            )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.area import AreaModel
 from repro.core.power import PowerModel
 from repro.errors import ConfigurationError
 
@@ -70,7 +71,9 @@ class TestEnergy:
 class TestIsoPower:
     def test_area_saving_anchor(self, model):
         """18 cores at 1 MiB/core cuts core+cache area ~23%."""
-        assert model.iso_power_area_saving(1.0) == pytest.approx(0.23, abs=0.01)
+        assert model.iso_power_area_saving(AreaModel(), 1.0) == pytest.approx(
+            0.23, abs=0.01
+        )
 
     def test_no_saving_at_baseline_ratio(self, model):
-        assert model.iso_power_area_saving(2.5) == pytest.approx(0.0)
+        assert model.iso_power_area_saving(AreaModel(), 2.5) == pytest.approx(0.0)

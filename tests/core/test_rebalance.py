@@ -3,14 +3,21 @@
 import pytest
 
 from repro._units import MiB
+from repro.core.area import AreaModel
 from repro.core.hitcurve import LogLinearHitCurve
+from repro.core.perf_model import SearchPerfModel
 from repro.core.rebalance import CacheForCoresOptimizer
 from repro.errors import ConfigurationError
+
+#: The paper's Eq. 1 and area models.
+MODELS = dict(perf_model=SearchPerfModel(), area_model=AreaModel())
 
 
 @pytest.fixture
 def optimizer():
-    return CacheForCoresOptimizer(hit_rate_fn=LogLinearHitCurve.fig10_effective())
+    return CacheForCoresOptimizer(
+        hit_rate_fn=LogLinearHitCurve.fig10_effective(), **MODELS
+    )
 
 
 RATIOS = [2.25, 2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5]
@@ -45,9 +52,9 @@ class TestEvaluate:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            CacheForCoresOptimizer(hit_rate_fn=lambda c: 0.5, baseline_cores=0)
+            CacheForCoresOptimizer(lambda c: 0.5, **MODELS, baseline_cores=0)
         with pytest.raises(ConfigurationError):
-            CacheForCoresOptimizer(hit_rate_fn=lambda c: 0.5, baseline_l3_mib=0)
+            CacheForCoresOptimizer(lambda c: 0.5, **MODELS, baseline_l3_mib=0)
 
 
 class TestDecompose:

@@ -3,8 +3,8 @@
 PR 10 rerouted the figure experiments through ``common.paper_models()``
 and the declarative ``repro.hw`` catalog.  This suite replays the old
 hand-coded construction — literal ``AreaModel()``/``PowerModel()``/
-``SearchPerfModel()``/``L4Config`` objects and ``HierarchyConfig``
-factory calls — by monkeypatching the two seams in
+``SearchPerfModel()``/``L4Config`` objects and literal ``HierarchyConfig``
+values (``tests/hw/hand_coded.py``) — by monkeypatching the two seams in
 ``repro.experiments.common``, then byte-compares the rendered tables and
 the ``--metrics-out`` JSON document of every affected experiment.
 Module-scoped runs, ``jobs=1`` so the patches apply in-process.
@@ -15,7 +15,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro._units import MiB
-from repro.cachesim.hierarchy import HierarchyConfig
 from repro.core.area import AreaModel
 from repro.core.l4cache import L4Config
 from repro.core.perf_model import MemoryLatencies, SearchPerfModel
@@ -24,9 +23,24 @@ from repro.errors import ConfigurationError
 from repro.experiments import common, runner
 from repro.experiments.common import RunPreset
 from repro.experiments.parallel import run_report
+from tests.hw import hand_coded
 
-#: Every experiment that consumes spec-derived models or hierarchies.
-_IDS = ["fig9", "fig10", "fig13", "fig14", "power"]
+#: Every experiment that consumes spec-derived models or hierarchies,
+#: in the runner's canonical order.
+_IDS = [
+    "fig2",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "power",
+    "discussion",
+    "ablations",
+]
 
 
 def _hand_coded_models():
@@ -45,11 +59,11 @@ def _hand_coded_models():
 
 
 def _hand_coded_hierarchy(platform, preset):
-    """The literal factory dispatch ``platform_hierarchy`` used to do."""
+    """The literal hierarchies ``platform_hierarchy`` used to dispatch to."""
     if platform == "plt1":
-        return HierarchyConfig.plt1_like().scaled(preset.scale)
+        return hand_coded.plt1_simulated().scaled(preset.scale)
     if platform == "plt2":
-        return HierarchyConfig.plt2_like().scaled(preset.scale)
+        return hand_coded.plt2().scaled(preset.scale)
     raise ConfigurationError(f"unknown platform {platform!r}")
 
 

@@ -11,28 +11,28 @@ import dataclasses
 
 import pytest
 
-from repro._units import MiB
-from repro.cachesim.hierarchy import HierarchyConfig
+from repro._units import KiB, MiB
 from repro.core.area import AreaModel
 from repro.core.l4cache import L4Config
 from repro.core.perf_model import MemoryLatencies, SearchPerfModel
 from repro.core.power import PowerModel
 from repro.errors import ConfigurationError
+from repro.experiments.table2 import table_row
 from repro.hw import adapters, catalog
-from repro.platforms.specs import PLT1, PLT2
+from tests.hw import hand_coded
 
 
 class TestHierarchyEquality:
     def test_plt1_table_machine(self):
         derived = adapters.hierarchy_config(catalog.plt1())
-        assert derived == HierarchyConfig.plt1_like(l3_size=45 * MiB, l3_assoc=20)
+        assert derived == hand_coded.plt1()
 
     def test_plt1_simulated_machine(self):
         derived = adapters.hierarchy_config(catalog.plt1_simulated())
-        assert derived == HierarchyConfig.plt1_like()
+        assert derived == hand_coded.plt1_simulated()
 
     def test_plt2(self):
-        assert adapters.hierarchy_config(catalog.plt2()) == HierarchyConfig.plt2_like()
+        assert adapters.hierarchy_config(catalog.plt2()) == hand_coded.plt2()
 
     def test_unsimulatable_assoc_raises(self):
         spec = catalog.plt1()
@@ -60,18 +60,6 @@ class TestModelEquality:
 
     def test_perf_model(self):
         assert adapters.perf_model(catalog.proposed()) == SearchPerfModel()
-
-    def test_platform_spec_constants(self):
-        assert adapters.platform_spec(catalog.plt1()) == PLT1
-        assert adapters.platform_spec(catalog.plt2()) == PLT2
-
-    def test_platform_spec_rejects_split_l1_assoc(self):
-        spec = catalog.plt1()
-        spec = dataclasses.replace(
-            spec, l1d=dataclasses.replace(spec.l1d, assoc=4)
-        )
-        with pytest.raises(ConfigurationError, match="L1"):
-            adapters.platform_spec(spec)
 
 
 class TestL4Adapters:
@@ -125,3 +113,72 @@ class TestDerivedModels:
         models = adapters.derive_models(catalog.proposed())
         assert models.l4_config(64 * MiB).capacity == 64 * MiB
         assert models.l4_static_watts(128.0) == 0.768
+
+
+class TestTable2:
+    """The Table II platforms, read straight off the catalog specs."""
+
+    def test_plt1_attributes(self):
+        plt1 = catalog.plt1()
+        assert plt1.microarchitecture == "Intel Haswell"
+        assert plt1.sockets == 2
+        assert plt1.cores_per_socket == 18
+        assert plt1.smt_ways == 2
+        assert plt1.cache_block_bytes == 64
+        assert plt1.l1i.size_bytes == 32 * KiB
+        assert plt1.l2.size_bytes == 256 * KiB
+        assert plt1.l3.size_bytes == 45 * MiB
+
+    def test_plt2_attributes(self):
+        plt2 = catalog.plt2()
+        assert plt2.microarchitecture == "IBM POWER8"
+        assert plt2.cores_per_socket == 12
+        assert plt2.smt_ways == 8
+        assert plt2.cache_block_bytes == 128
+        assert plt2.l1d.size_bytes == 64 * KiB
+        assert plt2.l2.size_bytes == 512 * KiB
+        assert plt2.l3.size_bytes == 96 * MiB
+
+    def test_totals(self):
+        plt1, plt2 = catalog.plt1(), catalog.plt2()
+        assert plt1.total_cores == 36
+        assert plt1.total_cores * plt1.smt_ways == 72
+        assert plt2.total_cores * plt2.smt_ways == 192
+
+    def test_table_rows_match_paper_strings(self):
+        row = table_row(catalog.plt1())
+        assert row["Shared L3$ (per socket)"] == "45 MiB"
+        assert row["Cache block size"] == "64 B"
+        row2 = table_row(catalog.plt2())
+        assert row2["SMT"] == "8"
+
+    def test_hierarchy_configs(self):
+        h1 = adapters.hierarchy_config(catalog.plt1())
+        assert h1.l3.geometry.size == 45 * MiB
+        h2 = adapters.hierarchy_config(catalog.plt2())
+        assert h2.l1d.geometry.block_size == 128
+
+
+class TestNoMagicNameDispatch:
+    """Regression: models derive from fields, never from the name string.
+
+    The Table II hierarchy used to dispatch on ``name == "PLT1"``, so a
+    renamed copy of PLT1 silently got PLT2's cache hierarchy.
+    """
+
+    def test_renamed_plt1_keeps_its_hierarchy(self):
+        plt1 = catalog.plt1()
+        custom = dataclasses.replace(plt1, name="CUSTOM")
+        assert adapters.hierarchy_config(custom) == adapters.hierarchy_config(plt1)
+        assert adapters.hierarchy_config(custom) != adapters.hierarchy_config(
+            catalog.plt2()
+        )
+
+    def test_renamed_plt2_keeps_its_hierarchy(self):
+        plt2 = catalog.plt2()
+        custom = dataclasses.replace(plt2, name="CUSTOM")
+        assert adapters.hierarchy_config(custom) == adapters.hierarchy_config(plt2)
+
+    def test_unknown_calibration_raises(self):
+        with pytest.raises(ConfigurationError, match="calibration"):
+            dataclasses.replace(catalog.plt1(), calibration="sparc")

@@ -11,14 +11,19 @@ import numpy as np
 import pytest
 
 from repro._units import MiB
-from repro.cachesim import HierarchyConfig, analytic_hierarchy, simulate_hierarchy
+from repro.cachesim import analytic_hierarchy, simulate_hierarchy
 from repro.cachesim.composed import ComposedHierarchy, SegmentRates
 from repro.cachesim.composition import CompositeCache, StreamComponent
+from repro.hw import catalog
+from repro.hw.adapters import hierarchy_config
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
 from repro.memtrace.trace import AccessKind, Segment
 from repro.search.cluster import SearchCluster
 from repro.search.documents import CorpusConfig
 from repro.search.querygen import QueryGenerator, QueryGeneratorConfig
+
+#: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
+PLT1_SIM = hierarchy_config(catalog.plt1_simulated())
 
 
 class TestEngineAgreement:
@@ -31,9 +36,7 @@ class TestEngineAgreement:
 
     @pytest.mark.parametrize("l3_mib", [0.25, 1, 4])
     def test_l3_miss_rates_agree(self, trace, l3_mib):
-        config = HierarchyConfig.plt1_like(
-            l3_size=int(l3_mib * MiB), l3_assoc=8
-        ).scaled(1 / 64)
+        config = PLT1_SIM.with_l3_size(int(l3_mib * MiB), assoc=8).scaled(1 / 64)
         exact = simulate_hierarchy(trace, config)
         analytic = analytic_hierarchy(trace, config)
         e = exact.level("L3")
@@ -43,7 +46,7 @@ class TestEngineAgreement:
         assert a_rate == pytest.approx(e_rate, abs=0.08)
 
     def test_segment_mpki_ordering_agrees(self, trace):
-        config = HierarchyConfig.plt1_like(l3_size=1 * MiB, l3_assoc=8).scaled(1 / 64)
+        config = PLT1_SIM.with_l3_size(1 * MiB, assoc=8).scaled(1 / 64)
         exact = simulate_hierarchy(trace, config)
         analytic = analytic_hierarchy(trace, config)
         for level in ("L2", "L3"):
@@ -70,7 +73,7 @@ class TestComposedVsDirect:
             stack_fraction=rates.stack / 80.0,
             instructions_per_fetch=10.0,
         ).scaled(1 / 256)
-        hierarchy = HierarchyConfig.plt1_like(l3_size=4 * MiB, l3_assoc=8).scaled(
+        hierarchy = PLT1_SIM.with_l3_size(4 * MiB, assoc=8).scaled(
             1 / 64
         )
 
@@ -106,7 +109,7 @@ class TestComposedVsDirect:
                 Segment.STACK: 40_000,
             }
         )
-        config = HierarchyConfig.plt1_like(l3_size=40 * MiB).scaled(1 / 64)
+        config = PLT1_SIM.scaled(1 / 64)
         one = ComposedHierarchy(streams, SegmentRates(), config, threads=1)
         many = ComposedHierarchy(streams, SegmentRates(), config, threads=16)
         capacity = int(8 * MiB / 64)
@@ -155,7 +158,7 @@ class TestSearchEngineTraces:
         assert code_ws < heap_ws
 
     def test_hierarchy_simulation_runs(self, cluster_trace):
-        config = HierarchyConfig.plt1_like(l3_size=2 * MiB, l3_assoc=8).scaled(1 / 16)
+        config = PLT1_SIM.with_l3_size(2 * MiB, assoc=8).scaled(1 / 16)
         result = analytic_hierarchy(cluster_trace, config)
         # Code is absorbed before memory; the L3's residual misses are data.
         assert result.segment_mpki("L3", Segment.CODE) < result.instr_mpki("L1I")
