@@ -16,7 +16,7 @@ from repro.cpu.branch import (
     BranchWorkloadConfig,
     TournamentPredictor,
     generate_branch_stream,
-    simulate_predictor,
+    measure_branch_mpki,
 )
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
 from repro.search.cluster import SearchCluster
@@ -72,10 +72,10 @@ def test_branch_predictor_throughput(benchmark):
     stream = generate_branch_stream(BranchWorkloadConfig(), 2_000_000, seed=1)
 
     def run():
-        return simulate_predictor(TournamentPredictor(), stream)
+        return measure_branch_mpki(TournamentPredictor(), stream, warmup_fraction=0.0)
 
-    mispredicts = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert mispredicts > 0
+    mpki = benchmark(run)
+    assert mpki > 0
 
 
 def test_search_cluster_query_throughput(benchmark):

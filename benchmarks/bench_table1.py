@@ -1,13 +1,14 @@
-"""Regenerate Table I: metrics for all thirteen workload profiles."""
+"""Regenerate Table I: metrics for all thirteen workload profiles.
+
+The table's shape claims are asserted in tier-1
+(``tests/experiments/test_experiments.py::TestTable1``); this module
+times the regeneration at the quick preset.
+"""
 
 from repro.experiments import table1
 
 
 def test_table1_regeneration(run_once, preset, benchmark):
     result = run_once(table1.run, preset)
-    rows = {r["workload"]: r for r in result.rows}
-    # Headline contrasts the table exists to show:
-    assert rows["s1-leaf"]["l2_instr_mpki"] > 3 * rows["spec-gobmk"]["l2_instr_mpki"] / 1.2
-    assert rows["spec-mcf"]["ipc"] < rows["s1-leaf"]["ipc"]
-    assert rows["cloudsuite-websearch"]["branch_mpki"] < 2.0
+    assert len(result.rows) == 13
     benchmark.extra_info["rows"] = len(result.rows)

@@ -8,15 +8,11 @@ accounting (Figure 3).
 """
 
 from repro.cpu.branch import (
-    BimodalPredictor,
     BranchStream,
     BranchWorkloadConfig,
-    GSharePredictor,
-    LocalHistoryPredictor,
     TournamentPredictor,
     generate_branch_stream,
     measure_branch_mpki,
-    simulate_predictor,
 )
 from repro.cpu.tlb import TlbConfig, TlbResult, simulate_tlb
 from repro.cpu.smt import SmtModel
@@ -24,15 +20,11 @@ from repro.cpu.scaling import CoreScalingModel
 from repro.cpu.topdown import TopDownBreakdown, TopDownModel, PipelineMetrics
 
 __all__ = [
-    "BimodalPredictor",
     "BranchStream",
     "BranchWorkloadConfig",
-    "GSharePredictor",
-    "LocalHistoryPredictor",
     "TournamentPredictor",
     "generate_branch_stream",
     "measure_branch_mpki",
-    "simulate_predictor",
     "TlbConfig",
     "TlbResult",
     "simulate_tlb",

@@ -13,8 +13,9 @@ frequency and three behaviour classes:
   effectively random coin flips with a per-branch bias; these produce the
   irreducible mispredicts that dominate search.
 
-Predictors are standard: bimodal (2-bit counters), gshare, and a
-bimodal/gshare tournament with a chooser table.
+The predictor is a bimodal/local-history tournament with a per-PC
+chooser, computed for a whole stream at once with the same result, bit
+for bit, as stepping it branch by branch.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._units import is_power_of_two
 from repro.cachesim.indexing import stable_group_order
 from repro.errors import ConfigurationError
 from repro.memtrace.sampling import ZipfSampler
@@ -66,18 +68,48 @@ class BranchWorkloadConfig:
 
 @dataclass(frozen=True)
 class BranchStream:
-    """A dynamic branch stream: PCs, outcomes, and the instruction budget."""
+    """A dynamic branch stream: PCs, outcomes, and the instruction budget.
+
+    ``pcs`` are integers (any width or sign); ``outcomes`` are bool or
+    0/1 integers and are stored as bool.
+    """
 
     pcs: np.ndarray
     outcomes: np.ndarray
     instruction_count: int
 
     def __post_init__(self) -> None:
-        if len(self.pcs) != len(self.outcomes):
+        pcs, outcomes = np.asarray(self.pcs), np.asarray(self.outcomes)
+        if pcs.ndim != 1 or outcomes.ndim != 1:
+            raise ConfigurationError("pcs and outcomes must be 1-D arrays")
+        if len(pcs) != len(outcomes):
             raise ConfigurationError("pcs and outcomes must align")
+        if not len(pcs):
+            pcs, outcomes = pcs.astype(np.int64), outcomes.astype(bool)
+        if pcs.dtype.kind not in "iu":
+            raise ConfigurationError(f"pcs must be integers, got {pcs.dtype}")
+        if outcomes.dtype != bool and (
+            outcomes.dtype.kind not in "iu" or not np.isin(outcomes, (0, 1)).all()
+        ):
+            raise ConfigurationError("outcomes must be bool or 0/1")
+        if self.instruction_count <= 0:
+            raise ConfigurationError("instruction_count must be positive")
+        object.__setattr__(self, "pcs", pcs)
+        object.__setattr__(self, "outcomes", outcomes.astype(bool, copy=False))
 
     def __len__(self) -> int:
         return len(self.pcs)
+
+
+def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`stable_group_order` order of ``keys`` and each grouped
+    access's position within its group of equal keys."""
+    order, sorted_keys = stable_group_order(keys)
+    n = len(keys)
+    change = np.ones(n, bool)
+    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(change)
+    return order, np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
 
 
 # Behaviour-class tags used internally by the generator.
@@ -132,175 +164,147 @@ def generate_branch_stream(
     # longer loops still mispredict roughly once per trip.
     is_loop_occ = classes[pcs] == _LOOP
     if is_loop_occ.any():
-        per_branch_trips = np.maximum(
-            2, rng.geometric(1.0 / trip, size=n_static)
-        )
+        per_branch_trips = np.maximum(2, rng.geometric(1.0 / trip, size=n_static))
         loop_idx = np.flatnonzero(is_loop_occ)
         loop_pcs = pcs[loop_idx]
-        order, sorted_pcs = stable_group_order(loop_pcs)
         # Occurrence index of each dynamic instance within its static branch.
-        new_group = np.empty(len(sorted_pcs), bool)
-        new_group[0] = True
-        new_group[1:] = sorted_pcs[1:] != sorted_pcs[:-1]
-        group_start = np.maximum.accumulate(
-            np.where(new_group, np.arange(len(sorted_pcs)), 0)
-        )
-        occ = np.arange(len(sorted_pcs)) - group_start
-        trips = per_branch_trips[sorted_pcs]
-        taken_sorted = (occ % trips) != (trips - 1)
+        order, occ = _grouped(loop_pcs)
+        trips = per_branch_trips[loop_pcs[order]]
         taken = np.empty(len(loop_idx), bool)
-        taken[order] = taken_sorted
+        taken[order] = (occ % trips) != (trips - 1)
         outcomes[loop_idx] = taken
 
-    return BranchStream(
-        pcs=pcs.astype(np.int64),
-        outcomes=outcomes,
-        instruction_count=instructions,
-    )
+    return BranchStream(pcs=pcs, outcomes=outcomes, instruction_count=instructions)
 
 
-# ----------------------------------------------------------------------
-# Predictors
-# ----------------------------------------------------------------------
+#: Local-history geometry (fixed) and the Fibonacci-hash multiplier that
+#: mixes the PC into the pattern-table index.
+_HISTORY_ENTRIES, _PATTERN_BITS, _PC_HASH = 16384, 18, np.uint64(0x9E3779B1)
+
+# A map f of the four states of a 2-bit counter packs into one byte, f(s)
+# at bits 2s..2s+1: increment (1, 2, 3, 3), decrement (0, 0, 1, 2) and
+# identity (0, 1, 2, 3).  ``_STEP[taken]`` is the map of one update.
+_STEP = np.array([0b10010000, 0b11111001], np.uint8)
+_IDENTITY = 0b11100100
+#: Maps that send every state to one state: once a window of updates
+#: has saturated a counter, no earlier update changes its result.
+_CONSTANT = np.isin(np.arange(256), [0x00, 0x55, 0xAA, 0xFF])
 
 
-class _SaturatingCounterTable:
-    """A table of 2-bit saturating counters (0..3; >= 2 predicts taken)."""
-
-    def __init__(self, entries: int, initial: int = 2) -> None:
-        if entries <= 0 or entries & (entries - 1):
-            raise ConfigurationError(
-                f"table entries must be a power of two, got {entries}"
-            )
-        if not 0 <= initial <= 3:
-            raise ConfigurationError(f"initial counter must be 0..3, got {initial}")
-        self.mask = entries - 1
-        self.counters = [initial] * entries
-
-    def predict(self, index: int) -> bool:
-        return self.counters[index & self.mask] >= 2
-
-    def update(self, index: int, taken: bool) -> None:
-        i = index & self.mask
-        c = self.counters[i]
-        if taken:
-            if c < 3:
-                self.counters[i] = c + 1
-        elif c > 0:
-            self.counters[i] = c - 1
+def _compose_table() -> np.ndarray:
+    """``table[f << 8 | g]`` is the packed map "apply ``f``, then ``g``"."""
+    first = np.arange(256, dtype=np.uint16)[:, None]
+    then = np.arange(256, dtype=np.uint16)[None, :]
+    table = np.zeros((256, 256), np.uint16)
+    for state in range(4):
+        middle = (first >> (2 * state)) & 3
+        table |= ((then >> (2 * middle)) & 3) << (2 * state)
+    return table.astype(np.uint8).ravel()
 
 
-class BimodalPredictor:
-    """Per-PC 2-bit counter predictor."""
-
-    def __init__(self, entries: int = 4096) -> None:
-        self._table = _SaturatingCounterTable(entries)
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        prediction = self._table.predict(pc)
-        self._table.update(pc, taken)
-        return prediction
+_COMPOSE = _compose_table()
 
 
-class GSharePredictor:
-    """Global-history XOR PC predictor (McFarling)."""
+def _counter_predictions(grouping, maps: np.ndarray, initial: int) -> np.ndarray:
+    """Predictions (state >= 2) of a table of 2-bit counters.
 
-    def __init__(self, entries: int = 16384, history_bits: int = 12) -> None:
-        if history_bits <= 0:
-            raise ConfigurationError("history_bits must be positive")
-        self._table = _SaturatingCounterTable(entries)
-        self._history = 0
-        self._history_mask = (1 << history_bits) - 1
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        index = pc ^ self._history
-        prediction = self._table.predict(index)
-        self._table.update(index, taken)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
-        return prediction
-
-
-class LocalHistoryPredictor:
-    """Two-level per-branch-history predictor (PAg, Yeh & Patt).
-
-    A per-PC history register indexes a shared pattern table of 2-bit
-    counters.  This is what learns loop periodicity and per-branch
-    patterns that global history cannot see through interleaving noise.
+    Access ``i`` reads its counter, then applies the packed map
+    ``maps[i]`` to it; ``grouping`` is :func:`_grouped` of the counter
+    keys, and every counter starts at ``initial``.  The state an access
+    reads is the composition of the earlier maps on its counter, so a
+    segmented doubling scan (Hillis-Steele) over the grouped non-identity
+    maps computes all of them at once.  A position leaves the scan once
+    its window reaches its group's first update or its map is constant.
     """
-
-    def __init__(
-        self,
-        history_bits: int = 16,
-        history_entries: int = 16384,
-        pattern_entries: int = 1 << 18,
-    ) -> None:
-        if history_bits <= 0:
-            raise ConfigurationError("history_bits must be positive")
-        if history_entries <= 0 or history_entries & (history_entries - 1):
-            raise ConfigurationError(
-                f"history_entries must be a power of two, got {history_entries}"
-            )
-        self._histories = [0] * history_entries
-        self._history_mask = (1 << history_bits) - 1
-        self._pc_mask = history_entries - 1
-        self._patterns = _SaturatingCounterTable(pattern_entries)
-        # Mix the PC into the pattern index so two branches with the same
-        # local history do not necessarily collide.
-        self._pc_hash_shift = history_bits
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        slot = pc & self._pc_mask
-        history = self._histories[slot]
-        # Fibonacci-hash the PC before mixing so different branches with
-        # identical local histories spread across the pattern table.
-        index = history ^ ((pc * 0x9E3779B1) >> 8)
-        prediction = self._patterns.predict(index)
-        self._patterns.update(index, taken)
-        self._histories[slot] = ((history << 1) | int(taken)) & self._history_mask
-        return prediction
+    order, offsets = grouping
+    sorted_maps = maps[order]
+    moved = sorted_maps != _IDENTITY
+    prior = np.cumsum(moved) - moved
+    earlier = prior - prior[np.arange(len(order)) - offsets]
+    updates = np.flatnonzero(moved)
+    composed = sorted_maps[updates]
+    scan_offsets = earlier[updates]
+    active = np.flatnonzero(scan_offsets)
+    step = 1
+    while active.size:
+        before = composed[active - step].astype(np.intp) << 8
+        composed[active] = _COMPOSE[before | composed[active]]
+        step *= 2
+        active = active[(scan_offsets[active] >= step) & ~_CONSTANT[composed[active]]]
+    state = np.full(len(order), initial, np.uint8)
+    seen = np.flatnonzero(earlier)
+    state[seen] = (composed[prior[seen] - 1] >> (2 * initial)) & 3
+    predictions = np.empty(len(order), bool)
+    predictions[order] = state >= 2
+    return predictions
 
 
+def _local_histories(grouping, outcomes: np.ndarray, bits: int) -> np.ndarray:
+    """Each access's local history: the last ``bits`` outcomes in its
+    history slot (``grouping`` is :func:`_grouped` of the slots), the
+    most recent in bit 0."""
+    order, offsets = grouping
+    taken = outcomes[order].astype(np.uint32)
+    history = np.zeros(len(order), np.uint32)
+    for age in range(1, bits + 1):
+        history[age:] |= (taken[:-age] * (offsets[age:] >= age)) << (age - 1)
+    histories = np.empty_like(history)
+    histories[order] = history
+    return histories
+
+
+@dataclass(frozen=True)
 class TournamentPredictor:
     """Bimodal/local-history hybrid with a per-PC chooser (21264 style).
 
-    The bimodal side is near-optimal for the heavily-biased checks that
-    dominate search code; the local-history side learns loop periodicity.
-    A per-PC chooser routes each branch to whichever side predicts it
-    better.  (A gshare side would add cross-branch correlation, which the
-    synthetic streams deliberately do not contain — data-dependent search
-    branches are the paper's irreducible mispredicts.)
+    The bimodal side (``entries`` 2-bit counters) suits the biased checks
+    that dominate search code.  The local-history side (PAg, Yeh & Patt)
+    learns loop periodicity: a per-PC register of the last
+    ``history_bits`` outcomes, XORed with a hash of the PC, indexes shared
+    2-bit pattern counters.  A per-PC chooser (``chooser_entries``
+    counters, starting weakly on the bimodal side) steps toward the side
+    that was right whenever the two disagree.  Every table trains on
+    actual outcomes, never on predictions, so :meth:`predict` computes
+    the tables in turn for the whole stream.
     """
 
-    def __init__(
-        self,
-        entries: int = 16384,
-        history_bits: int = 16,
-        chooser_entries: int = 4096,
-    ) -> None:
-        self._bimodal = BimodalPredictor(entries)
-        self._local = LocalHistoryPredictor(history_bits=history_bits)
-        # Start weakly on the bimodal side: local-history entries are cold
-        # until a branch's pattern has actually repeated.
-        self._chooser = _SaturatingCounterTable(chooser_entries, initial=1)
+    entries: int = 16384
+    history_bits: int = 16
+    chooser_entries: int = 4096
 
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        p_bimodal = self._bimodal.predict_and_update(pc, taken)
-        p_local = self._local.predict_and_update(pc, taken)
-        use_local = self._chooser.predict(pc)
-        prediction = p_local if use_local else p_bimodal
-        if p_bimodal != p_local:
-            self._chooser.update(pc, p_local == taken)
-        return prediction
+    def __post_init__(self) -> None:
+        for entries in (self.entries, self.chooser_entries):
+            if not is_power_of_two(entries):
+                raise ConfigurationError(
+                    f"table entries must be a power of two, got {entries}"
+                )
+        if self.history_bits <= 0:
+            raise ConfigurationError("history_bits must be positive")
 
-
-def simulate_predictor(predictor, stream: BranchStream) -> int:
-    """Run a predictor over a stream; return the mispredict count."""
-    mispredicts = 0
-    predict = predictor.predict_and_update
-    for pc, taken in zip(stream.pcs.tolist(), stream.outcomes.tolist()):
-        if predict(pc, taken) != taken:
-            mispredicts += 1
-    return mispredicts
+    def predict(self, stream: BranchStream) -> np.ndarray:
+        """The prediction (bool) the predictor makes for every branch."""
+        # Every index keeps only low PC bits, which any two's-complement
+        # width agrees on: work in uint64.
+        pcs = stream.pcs.astype(np.uint64)
+        taken = stream.outcomes
+        steps = _STEP[taken.view(np.uint8)]
+        by_pc = _grouped(pcs & np.uint64(self.entries - 1))
+        p_bimodal = _counter_predictions(by_pc, steps, 2)
+        if self.entries != _HISTORY_ENTRIES:
+            by_pc = _grouped(pcs & np.uint64(_HISTORY_ENTRIES - 1))
+        # History bits above the pattern index's width never matter, and
+        # bits 8.. of the wrapped PC product equal those of the exact one.
+        history = _local_histories(by_pc, taken, min(self.history_bits, _PATTERN_BITS))
+        patterns = (history ^ ((pcs * _PC_HASH) >> np.uint64(8))) & np.uint64(
+            (1 << _PATTERN_BITS) - 1
+        )
+        p_local = _counter_predictions(_grouped(patterns), steps, 2)
+        trained = _STEP[(p_local == taken).view(np.uint8)]
+        chooser_maps = np.where(p_bimodal == p_local, np.uint8(_IDENTITY), trained)
+        use_local = _counter_predictions(
+            _grouped(pcs & np.uint64(self.chooser_entries - 1)), chooser_maps, 1
+        )
+        return np.where(use_local, p_local, p_bimodal)
 
 
 def branch_mpki(mispredicts: int, instruction_count: int) -> float:
@@ -311,7 +315,7 @@ def branch_mpki(mispredicts: int, instruction_count: int) -> float:
 
 
 def measure_branch_mpki(
-    predictor, stream: BranchStream, warmup_fraction: float = 0.25
+    predictor: TournamentPredictor, stream: BranchStream, warmup_fraction: float = 0.25
 ) -> float:
     """Steady-state branch MPKI: train first, measure the remainder.
 
@@ -323,12 +327,6 @@ def measure_branch_mpki(
     if not 0 <= warmup_fraction < 1:
         raise ConfigurationError("warmup_fraction must be in [0, 1)")
     split = int(len(stream) * warmup_fraction)
-    mispredicts = 0
-    predict = predictor.predict_and_update
-    for i, (pc, taken) in enumerate(
-        zip(stream.pcs.tolist(), stream.outcomes.tolist())
-    ):
-        if predict(pc, taken) != taken and i >= split:
-            mispredicts += 1
+    wrong = predictor.predict(stream)[split:] != stream.outcomes[split:]
     measured_instructions = stream.instruction_count * (1.0 - warmup_fraction)
-    return branch_mpki(mispredicts, round(measured_instructions))
+    return branch_mpki(int(np.count_nonzero(wrong)), round(measured_instructions))

@@ -13,6 +13,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Keys sorted per rank lookup in :meth:`ZipfSampler.sample`.
+_LOOKUP_CHUNK = 65_536
+
 
 class ZipfSampler:
     """Sample ranks ``0..n-1`` with probability proportional to ``(k+1)**-a``.
@@ -46,7 +49,17 @@ class ZipfSampler:
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
         u = self._rng.random(count)
-        return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
+        ranks = np.empty(count, np.int64)
+        # Sorted keys make the binary searches walk the CDF in order (and
+        # reuse the previous bound); equal keys get equal ranks, so the
+        # result is exactly ``searchsorted`` on ``u``.
+        for start in range(0, count, _LOOKUP_CHUNK):
+            keys = u[start : start + _LOOKUP_CHUNK]
+            order = np.argsort(keys)
+            ranks[start : start + _LOOKUP_CHUNK][order] = np.searchsorted(
+                self._cdf, keys[order], side="left"
+            )
+        return ranks
 
     def probability(self, rank: int) -> float:
         """Exact probability of ``rank`` (mostly for tests)."""

@@ -1,20 +1,34 @@
-"""Tests for branch-stream generation and predictors."""
+"""Tests for branch-stream generation and predictors.
+
+The bimodal, gshare and local-history predictors live in the per-branch
+oracle (``branch_oracle.py``); the tournament is the vectorized one.
+"""
 
 import numpy as np
 import pytest
 
 from repro.cpu.branch import (
-    BimodalPredictor,
+    BranchStream,
     BranchWorkloadConfig,
-    GSharePredictor,
-    LocalHistoryPredictor,
     TournamentPredictor,
     branch_mpki,
     generate_branch_stream,
     measure_branch_mpki,
-    simulate_predictor,
 )
 from repro.errors import ConfigurationError
+from tests.cpu.branch_oracle import (
+    BimodalPredictor,
+    GSharePredictor,
+    LocalHistoryPredictor,
+    simulate_predictor,
+)
+
+
+def count_mispredicts(predictor, stream):
+    """Mispredict count of the vectorized tournament or an oracle."""
+    if isinstance(predictor, TournamentPredictor):
+        return int(np.count_nonzero(predictor.predict(stream) != stream.outcomes))
+    return simulate_predictor(predictor, stream)
 
 
 def config(**kw):
@@ -82,6 +96,86 @@ class TestStreamGeneration:
         assert 0.8 < taken_rate < 0.99
 
 
+class TestBranchStreamBoundaries:
+    def stream(self, pcs=(1, 2, 3), outcomes=(True, False, True), count=100):
+        return BranchStream(
+            pcs=np.asarray(pcs), outcomes=np.asarray(outcomes), instruction_count=count
+        )
+
+    @pytest.mark.parametrize(
+        "pcs, outcomes",
+        [
+            (np.zeros((2, 2), np.int64), np.zeros(4, bool)),
+            (np.zeros(4, np.int64), np.zeros((2, 2), bool)),
+            (np.int64(3), np.bool_(True)),
+        ],
+    )
+    def test_rejects_non_1d(self, pcs, outcomes):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            BranchStream(pcs=pcs, outcomes=outcomes, instruction_count=10)
+
+    @pytest.mark.parametrize("pcs", [[1.0, 2.0, 3.0], ["a", "b", "c"], [1, None, 3]])
+    def test_rejects_non_integer_pcs(self, pcs):
+        with pytest.raises(ConfigurationError, match="integers"):
+            self.stream(pcs=pcs)
+
+    @pytest.mark.parametrize(
+        "outcomes", [[0, 1, 2], [-1, 0, 1], [0.0, 1.0, 1.0], ["T", "N", "T"]]
+    )
+    def test_rejects_non_binary_outcomes(self, outcomes):
+        with pytest.raises(ConfigurationError, match="0/1"):
+            self.stream(outcomes=outcomes)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_rejects_non_positive_instruction_count(self, count):
+        with pytest.raises(ConfigurationError, match="instruction_count"):
+            self.stream(count=count)
+
+    def test_rejects_misaligned(self):
+        with pytest.raises(ConfigurationError, match="align"):
+            self.stream(pcs=[1, 2])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+    def test_integer_outcomes_match_bool(self, dtype):
+        bools = generate_branch_stream(config(), 60_000, seed=5)
+        ints = BranchStream(
+            pcs=bools.pcs,
+            outcomes=bools.outcomes.astype(dtype),
+            instruction_count=bools.instruction_count,
+        )
+        assert ints.outcomes.dtype == bool
+        assert measure_branch_mpki(TournamentPredictor(), ints) == measure_branch_mpki(
+            TournamentPredictor(), bools
+        )
+
+    def test_empty_stream_measures_zero(self):
+        stream = BranchStream(pcs=[], outcomes=[], instruction_count=1000)
+        assert len(stream) == 0
+        assert measure_branch_mpki(TournamentPredictor(), stream) == 0.0
+
+
+class TestTournamentConfig:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            dict(entries=1000),
+            dict(entries=0),
+            dict(chooser_entries=3),
+            dict(history_bits=0),
+        ],
+    )
+    def test_rejects_bad_sizes(self, sizes):
+        with pytest.raises(ConfigurationError):
+            TournamentPredictor(**sizes)
+
+    def test_frozen_defaults(self):
+        predictor = TournamentPredictor()
+        assert (predictor.entries, predictor.history_bits) == (16384, 16)
+        assert predictor.chooser_entries == 4096
+        with pytest.raises(AttributeError):
+            predictor.entries = 8
+
+
 class TestPredictors:
     def stream(self, **kw):
         return generate_branch_stream(config(**kw), 120_000, seed=1)
@@ -92,16 +186,13 @@ class TestPredictors:
     )
     def test_better_than_random(self, predictor_cls):
         stream = self.stream()
-        mispredicts = simulate_predictor(predictor_cls(), stream)
-        assert mispredicts / len(stream) < 0.35
+        assert count_mispredicts(predictor_cls(), stream) / len(stream) < 0.35
 
     def test_gshare_learns_single_branch_pattern(self):
         """Global history only helps when the dynamic branch sequence is
         structured.  The synthetic streams interleave Zipf-random PCs, so
         history is noise there (which is why the tournament does not use
         gshare); on a single periodic branch, gshare must learn."""
-        from repro.cpu.branch import BranchStream
-
         pcs = np.zeros(6000, np.int64)
         outcomes = np.tile([True, True, False], 2000)
         stream = BranchStream(pcs=pcs, outcomes=outcomes, instruction_count=6000)
@@ -122,8 +213,6 @@ class TestPredictors:
         """A fixed trip-4 loop pattern is fully learnable locally."""
         pcs = np.zeros(4000, np.int64)
         outcomes = np.tile([True, True, True, False], 1000)
-        from repro.cpu.branch import BranchStream
-
         stream = BranchStream(pcs=pcs, outcomes=outcomes, instruction_count=4000)
         local = simulate_predictor(LocalHistoryPredictor(), stream)
         bimodal = simulate_predictor(BimodalPredictor(), stream)
@@ -133,12 +222,11 @@ class TestPredictors:
         stream = self.stream(
             biased_fraction=0.0, loop_fraction=0.0, data_dependent_fraction=1.0
         )
-        mispredicts = simulate_predictor(TournamentPredictor(), stream)
-        assert mispredicts / len(stream) > 0.4
+        assert count_mispredicts(TournamentPredictor(), stream) / len(stream) > 0.4
 
     def test_tournament_beats_components_on_mix(self):
         stream = self.stream()
-        tournament = simulate_predictor(TournamentPredictor(), stream)
+        tournament = count_mispredicts(TournamentPredictor(), stream)
         bimodal = simulate_predictor(BimodalPredictor(), stream)
         assert tournament <= bimodal * 1.05
 
@@ -154,8 +242,7 @@ class TestMpki:
     def test_warmup_reduces_measured_mpki(self):
         stream = generate_branch_stream(config(), 200_000, seed=2)
         cold = branch_mpki(
-            simulate_predictor(TournamentPredictor(), stream),
-            stream.instruction_count,
+            count_mispredicts(TournamentPredictor(), stream), stream.instruction_count
         )
         warm = measure_branch_mpki(TournamentPredictor(), stream)
         assert warm <= cold * 1.02

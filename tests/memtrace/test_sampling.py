@@ -63,6 +63,33 @@ class TestZipfSampler:
             sampler.probability(10)
 
 
+class TestZipfSamplerMatchesSearchsorted:
+    """``sample`` looks ranks up in sorted chunks; it must equal the plain
+    inverse-CDF lookup of the same uniforms."""
+
+    @given(
+        st.integers(1, 600_000),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.5]),
+        st.one_of(
+            st.sampled_from([0, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 11]),
+            st.integers(0, 200_000),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_twin_generator(self, n, exponent, count, seed):
+        sampler = ZipfSampler(n, exponent, np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** -exponent)
+        cdf /= cdf[-1]
+        draws = sampler.sample(count)
+        expected = np.searchsorted(cdf, twin.random(count), side="left")
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, expected)
+        # Both generators are left in the same state.
+        assert sampler._rng.random() == twin.random()
+
+
 class TestBoundedGeometric:
     def test_range(self):
         draws = bounded_geometric(8.0, 32, 10_000, np.random.default_rng(0))
