@@ -8,7 +8,7 @@ performance regressions in the simulators themselves.
 import numpy as np
 import pytest
 
-from repro._units import KiB, MiB
+from repro._units import KiB
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.cachesim.misscurve import MissRatioCurve

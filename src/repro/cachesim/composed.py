@@ -86,8 +86,9 @@ class ComposedHierarchy:
 
     Miss-stream curves are derived from each level's parent curve
     (:meth:`~repro.cachesim.misscurve.MissRatioCurve.filtered`) instead
-    of rebuilt, and L3 re-solves are memoized per capacity so capacity
-    sweeps batch through :meth:`solve_l3_sweep`.
+    of rebuilt, L3 re-solves are memoized per capacity so capacity
+    sweeps batch through :meth:`solve_l3_sweep`, and L4 demand streams
+    are memoized per (L3 capacity, seed) — see :meth:`l4_demand`.
     """
 
     def __init__(
@@ -118,6 +119,9 @@ class ComposedHierarchy:
         self.block_size = blocks.pop()
         #: Memoized L3 re-solves keyed on capacity in lines.
         self._l3_solves: dict[int, CompositeCache] = {}
+        #: Memoized (read-only) L4 demand streams keyed on
+        #: (L3 capacity in lines, seed).
+        self._l4_demands: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
         # ---- L1-I: code alone -------------------------------------------
         code = StreamComponent(
@@ -332,27 +336,37 @@ class ComposedHierarchy:
         """(lines, segments) of the L3 miss stream at a capacity.
 
         This is the demand an L4 victim cache observes; segments are
-        :class:`~repro.memtrace.trace.Segment` values.
+        :class:`~repro.memtrace.trace.Segment` values.  Each L3 stream's
+        misses (:meth:`~repro.cachesim.composition.CompositeCache.miss_stream`:
+        lines and demoted rate, no curve — streams with fewer than 2
+        misses are dropped) are interleaved by
+        :func:`~repro.cachesim.composition.merge_streams_by_rate` with a
+        generator seeded by ``seed``.
+
+        The stream is built once per (L3 capacity in lines, seed) and
+        memoized on this run, like the L3 solves: Figures 13 and 14, the
+        power, ablation and DSE studies all ask for the same few streams.
+        Both arrays are therefore read-only; copy them to modify.
 
         Units: ``l3_capacity_bytes`` is the L3 capacity in bytes.
         """
+        key = (max(1, l3_capacity_bytes // self.block_size), seed)
+        cached = self._l4_demands.get(key)
+        if cached is not None:
+            return cached
         cache = self.l3_at(l3_capacity_bytes)
-        miss_components = [
-            cache.miss_component(name)
-            for name in cache.components
-        ]
-        miss_components = [c for c in miss_components if c is not None]
-        if not miss_components:
+        streams = []
+        segment_codes = []
+        for name in cache.components:
+            miss = cache.miss_stream(name)
+            if miss is not None:
+                streams.append(miss)
+                segment_codes.append(int(Segment[name.upper()]))
+        if not streams:
             raise ConfigurationError("the L3 absorbed everything at this capacity")
-        rng = np.random.default_rng(seed)
-        lines, tags = merge_streams_by_rate(miss_components, rng)
-        name_to_segment = {
-            "code": Segment.CODE,
-            "heap": Segment.HEAP,
-            "shard": Segment.SHARD,
-            "stack": Segment.STACK,
-        }
-        segment_of_tag = np.array(
-            [int(name_to_segment[c.name]) for c in miss_components], np.uint8
-        )
-        return lines, segment_of_tag[tags]
+        lines, tags = merge_streams_by_rate(streams, np.random.default_rng(seed))
+        segments = np.array(segment_codes, np.uint8)[tags]
+        lines.flags.writeable = False
+        segments.flags.writeable = False
+        self._l4_demands[key] = (lines, segments)
+        return lines, segments

@@ -148,11 +148,13 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
     come from :func:`solve_windows` over the same components, which makes
     it bit-identical to what the in-constructor solve would produce.
 
-    :meth:`miss_component` derives the miss stream's curve from the
-    parent curve via
+    :meth:`miss_stream` gives a stream's misses as bare (lines, rate),
+    which is all an interleave such as :func:`merge_streams_by_rate`
+    reads.  :meth:`miss_component` adds the miss stream's curve for a
+    downstream cache level, derived from the parent curve via
     :meth:`~repro.cachesim.misscurve.MissRatioCurve.filtered` instead of
-    rebuilding it — the same curve at a fraction of the cost, and the
-    parent's own curve when nothing hits.
+    rebuilt — the same curve at a fraction of the cost, and the parent's
+    own curve when nothing hits.
     """
 
     def __init__(
@@ -204,13 +206,11 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
         component = self._component(name)
         return component.curve.hit_mask_for_window(self.own_window(name))
 
-    def miss_component(self, name: str) -> StreamComponent | None:
-        """The stream of this component's misses, with its demoted rate.
+    def _misses(self, name: str) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(miss mask, miss lines, demoted rate) of one stream, or None.
 
-        Returns None when the stream misses too rarely to carry meaningful
-        statistics downstream (fewer than 2 miss accesses).  When every
-        access misses, the miss stream shares this component's lines and
-        curve instead of copying them.
+        None when fewer than 2 accesses miss.  When every access misses,
+        the miss lines are the component's own array, not a copy.
         """
         component = self._component(name)
         miss_mask = ~self.hit_mask(name)
@@ -221,11 +221,42 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
         miss_lines = (
             component.lines if misses == accesses else component.lines[miss_mask]
         )
+        return miss_mask, miss_lines, component.rate * (misses / accesses)
+
+    def miss_stream(self, name: str) -> tuple[np.ndarray, float] | None:
+        """(lines, rate) of one stream's misses, without a curve.
+
+        The rate is demoted by the miss fraction:
+        ``rate * (misses / accesses)``.  Returns None when fewer than 2
+        accesses miss; when every access misses, the lines are the
+        component's own array rather than a copy.
+        """
+        misses = self._misses(name)
+        if misses is None:
+            return None
+        __, miss_lines, rate = misses
+        return miss_lines, rate
+
+    def miss_component(self, name: str) -> StreamComponent | None:
+        """The stream of this component's misses, ready for the next level.
+
+        The lines and demoted rate of :meth:`miss_stream`, plus the
+        multiplicity and a miss-ratio curve derived from this component's
+        curve with
+        :meth:`~repro.cachesim.misscurve.MissRatioCurve.filtered` (this
+        component's own curve when every access misses).  Returns None
+        when fewer than 2 accesses miss.
+        """
+        misses = self._misses(name)
+        if misses is None:
+            return None
+        miss_mask, miss_lines, rate = misses
+        component = self._component(name)
         assert component.curve is not None  # established in __post_init__
         return StreamComponent(
             name=name,
             lines=miss_lines,
-            rate=component.rate * (misses / accesses),
+            rate=rate,
             multiplicity=component.multiplicity,
             curve=component.curve.filtered(miss_mask),
         )
@@ -241,20 +272,24 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
 
 
 def merge_streams_by_rate(
-    components: list[StreamComponent],
+    streams: list[tuple[np.ndarray, float]],
     rng: np.random.Generator,
     minor_rate_fraction: float = 0.25,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interleave several streams into one global order by their rates.
 
-    Returns ``(lines, component_index)``.  The streams were generated with
+    ``streams`` are ``(lines, rate)`` pairs — e.g. what
+    :meth:`CompositeCache.miss_stream` returns; only the lines and rates
+    matter, so no miss-ratio curve is needed.  Returns
+    ``(lines, stream_index)``.  The streams were generated with
     independent lengths, so each is truncated to the number of events its
     rate contributes over a common instruction span; each stream keeps its
     internal order while the cross-stream ordering is a proportionate
     random shuffle.  Used to build the L4's demand stream from per-segment
-    L3 miss streams.
+    L3 miss streams
+    (:meth:`~repro.cachesim.composed.ComposedHierarchy.l4_demand`).
 
-    The span is set by the *major* streams: components that together carry
+    The span is set by the *major* streams: streams that together carry
     at most ``minor_rate_fraction`` of the total rate may be shorter than
     the span requires — they are included in full and end up somewhat
     under-represented, which is harmless for the direct-mapped L4 study
@@ -262,33 +297,35 @@ def merge_streams_by_rate(
     minor stream (e.g. the nearly-empty code miss stream) would truncate
     every other stream to its own tiny span and destroy their reuse.
     """
-    if not components:
+    if not streams:
         raise ConfigurationError("need at least one stream to merge")
     if not 0 <= minor_rate_fraction < 1:
         raise ConfigurationError("minor_rate_fraction must be in [0, 1)")
-    total_rate = sum(c.rate for c in components)
+    for lines, rate in streams:
+        if rate <= 0:
+            raise ConfigurationError(f"stream rates must be positive, got {rate}")
+        if len(lines) == 0:
+            raise TraceError("cannot merge an empty stream")
+    total_rate = sum(rate for __, rate in streams)
     # Walk candidate spans from shortest stream up; streams shorter than
     # the candidate span are "minor" and must stay under the rate budget.
-    by_span = sorted(components, key=lambda c: len(c.lines) / c.rate)
-    span_ki = len(by_span[0].lines) / by_span[0].rate
+    by_span = sorted(streams, key=lambda stream: len(stream[0]) / stream[1])
+    span_ki = len(by_span[0][0]) / by_span[0][1]
     minor_rate = 0.0
-    for position, component in enumerate(by_span[:-1]):
-        if (minor_rate + component.rate) / total_rate > minor_rate_fraction:
+    for position, (__, rate) in enumerate(by_span[:-1]):
+        if (minor_rate + rate) / total_rate > minor_rate_fraction:
             break
-        minor_rate += component.rate
-        successor = by_span[position + 1]
-        span_ki = len(successor.lines) / successor.rate
+        minor_rate += rate
+        next_lines, next_rate = by_span[position + 1]
+        span_ki = len(next_lines) / next_rate
 
-    counts = [
-        max(1, min(len(c.lines), int(c.rate * span_ki))) for c in components
-    ]
-    truncated = [c.lines[:count] for c, count in zip(components, counts)]
+    counts = [max(1, min(len(lines), int(rate * span_ki))) for lines, rate in streams]
     total = sum(counts)
     tags = np.concatenate(
         [np.full(count, i, np.int32) for i, count in enumerate(counts)]
     )
     rng.shuffle(tags)
     lines = np.empty(total, np.int64)
-    for i, lines_i in enumerate(truncated):
-        lines[tags == i] = lines_i
+    for i, ((stream_lines, __), count) in enumerate(zip(streams, counts)):
+        lines[tags == i] = stream_lines[:count]
     return lines, tags

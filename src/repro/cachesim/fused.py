@@ -26,8 +26,9 @@ The TLB sits beside the cache sweep rather than inside it: translations
 depend only on the trace and the page size, never on cache geometry, so
 one (vectorized) :func:`repro.cpu.tlb.simulate_tlb` pass covers a whole
 campaign.  The L4 likewise consumes the swept L3's miss stream
-(:meth:`~repro.cachesim.composed.ComposedHierarchy.l4_demand` with
-memoized L3 solves) through the vectorized direct-mapped kernel.
+(:meth:`~repro.cachesim.composed.ComposedHierarchy.l4_demand`, built
+once per L3 capacity and seed from the memoized L3 solves) through the
+vectorized direct-mapped kernel.
 Inclusive hierarchies couple the levels access by access, so inclusive
 points in a sweep run :func:`~repro.cachesim.hierarchy.simulate_hierarchy`
 one by one (its counted per-access fallback).

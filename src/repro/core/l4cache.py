@@ -137,30 +137,46 @@ class L4Cache:
         """Simulate the stream; return per-segment hit statistics.
 
         ``lines`` are L3-block-granularity line addresses of L3 misses in
-        program order; ``segments`` the matching software segments.
+        program order; ``segments`` the matching software segments
+        (:class:`~repro.memtrace.trace.Segment` codes).  The per-segment
+        dicts hold only segments that occur in the stream.
         """
         if len(lines) == 0:
             raise ConfigurationError("cannot simulate an empty L4 stream")
         if len(lines) != len(segments):
             raise ConfigurationError("lines and segments must align")
+        codes = np.asarray(segments)
+        if codes.dtype.kind not in "iu":
+            raise ConfigurationError(
+                f"segments must be integer Segment codes, got dtype {codes.dtype}"
+            )
+        if codes.min() < 0 or codes.max() >= len(Segment):
+            raise ConfigurationError(
+                f"segments must be Segment codes in [0, {len(Segment)}), got "
+                f"values in [{codes.min()}, {codes.max()}]"
+            )
         if self.config.associativity == "direct":
             hits = simulate_direct_mapped(lines, self.config.capacity_lines)
         else:
             curve = MissRatioCurve(lines)
             hits = curve.hit_mask(self.config.capacity_lines)
 
+        # One count over (segment, hit) pairs: row s holds segment s's
+        # misses and hits.
+        pairs = np.bincount(
+            (codes << 1) | hits, minlength=2 * len(Segment)
+        ).reshape(len(Segment), 2)
         seg_accesses: dict[Segment, int] = {}
         seg_hits: dict[Segment, int] = {}
         for seg in Segment:
-            mask = segments == seg
-            count = int(np.count_nonzero(mask))
-            if count:
-                seg_accesses[seg] = count
-                seg_hits[seg] = int(np.count_nonzero(hits[mask]))
+            misses, seg_hit_count = pairs[seg]
+            if misses + seg_hit_count:
+                seg_accesses[seg] = int(misses + seg_hit_count)
+                seg_hits[seg] = int(seg_hit_count)
         return L4Result(
             config=self.config,
             accesses=len(lines),
-            hits=int(np.count_nonzero(hits)),
+            hits=int(pairs[:, 1].sum()),
             segment_accesses=seg_accesses,
             segment_hits=seg_hits,
         )

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from repro._units import MiB
 from repro.core.hitcurve import LogLinearHitCurve
 from repro.core.l4cache import L4Cache
@@ -197,7 +195,6 @@ class DesignSpaceExplorer:
             self.hit_rate_fn(int(self.baseline_l3_mib * MiB)),
         )
         self._l4_hits: dict[tuple[float, int], float] = {}
-        self._demands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._mpki: dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -226,25 +223,22 @@ class DesignSpaceExplorer:
         """
         return min(L3_GRID_MIB, key=lambda grid: (abs(grid - l3_mib), grid))
 
-    def _l4_demand(self, grid_mib: float) -> tuple[np.ndarray, np.ndarray]:
-        if grid_mib not in self._demands:
-            self._demands[grid_mib] = self.run.l4_demand(
-                self._scaled_bytes(grid_mib * MiB)
-            )
-        return self._demands[grid_mib]
-
     def l4_hit_rate(self, grid_mib: float, l4_mib: int) -> float:
         """Simulated L4 hit rate over the grid capacity's miss stream.
 
         Memoized per (grid capacity, L4 size): hit rates are independent
         of the candidate's L4 latencies, so all latency variants of one
-        geometry share a single direct-mapped simulation.
+        geometry share a single direct-mapped simulation.  The demand
+        stream itself is memoized on the composed run
+        (:meth:`~repro.cachesim.composed.ComposedHierarchy.l4_demand`).
 
         Units: ``grid_mib`` and ``l4_mib`` are paper-scale MiB.
         """
         key = (grid_mib, l4_mib)
         if key not in self._l4_hits:
-            lines, segments = self._l4_demand(grid_mib)
+            lines, segments = self.run.l4_demand(
+                self._scaled_bytes(grid_mib * MiB)
+            )
             config = self.models.l4_config(self._scaled_bytes(l4_mib * MiB))
             self._l4_hits[key] = L4Cache(config).simulate(lines, segments).hit_rate
         return self._l4_hits[key]

@@ -28,7 +28,7 @@ def bar_chart(
         raise ConfigurationError("labels and values must align")
     if not values:
         return "(no data)"
-    label_width = max(len(str(l)) for l in labels)
+    label_width = max(len(str(label)) for label in labels)
     peak = max(abs(v) for v in values) or 1.0
     lines = []
     for label, value in zip(labels, values):

@@ -47,17 +47,13 @@ def split_l2_rows(result: ExperimentResult, preset: RunPreset) -> None:
     )
 
     # Rebuild the L2 stage split: each side gets half the capacity and
-    # only its own miss streams.
+    # only its own miss streams (the L1 miss components the unified L2
+    # was built from).
     half_lines = run.config.l2.geometry.capacity_lines // 2
-    code_in = run.l1i.miss_component("code")
+    l2_inputs = run.l2.components
+    code_in = l2_inputs["code"]
     data_in = [
-        c
-        for c in (
-            run.l1d.miss_component("heap"),
-            run.l1d.miss_component("shard"),
-            run.l1d.miss_component("stack"),
-        )
-        if c is not None
+        l2_inputs[name] for name in ("heap", "shard", "stack") if name in l2_inputs
     ]
     split_i_cache = CompositeCache([code_in], half_lines)
     split_d_cache = CompositeCache(data_in, half_lines)
@@ -112,19 +108,10 @@ def bigger_l2_rows(result: ExperimentResult, preset: RunPreset) -> None:
     ) - sum(run.mpki("L3", seg) for seg in (Segment.HEAP, Segment.SHARD, Segment.STACK))
     base_ipc = ipc(base_l2i, max(0.0, base_l2d))
 
-    # Doubled L2: re-solve the L2 composite at twice the lines.
+    # Doubled L2: re-solve the L2 composite over the same L1 miss
+    # components at twice the lines.
     double_lines = run.config.l2.geometry.capacity_lines * 2
-    inputs = [
-        c
-        for c in (
-            run.l1i.miss_component("code"),
-            run.l1d.miss_component("heap"),
-            run.l1d.miss_component("shard"),
-            run.l1d.miss_component("stack"),
-        )
-        if c is not None
-    ]
-    big = CompositeCache(inputs, double_lines)
+    big = CompositeCache(list(run.l2.components.values()), double_lines)
     big_l2i = big.mpki("code")
     big_ipc = ipc(big_l2i, max(0.0, base_l2d * 0.8), l1i_extra_penalty=0.5)
 

@@ -9,7 +9,7 @@ words so the full text path (tokenize → index → query) is exercisable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

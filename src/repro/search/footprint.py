@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro._units import GiB, KiB, MiB
+from repro._units import GiB, MiB
 from repro.errors import ConfigurationError
 from repro.memtrace.trace import Segment
 

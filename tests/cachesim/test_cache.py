@@ -120,7 +120,7 @@ class TestSetAssociativeCache:
         a = self.cache(size=2048, assoc=4)
         b = self.cache(size=2048, assoc=4)
         bulk = a.simulate(lines)
-        single = np.array([b.access(int(l))[0] for l in lines])
+        single = np.array([b.access(int(line))[0] for line in lines])
         assert (bulk == single).all()
 
     def test_resident_never_exceeds_capacity(self):

@@ -164,16 +164,16 @@ class TestCompositeCache:
 class TestMergeStreams:
     def test_proportional_counts(self):
         rng = np.random.default_rng(0)
-        a = StreamComponent("a", zipf_stream(10_000, 100, seed=1), rate=10.0)
-        b = StreamComponent("b", zipf_stream(5_000, 100, seed=2), rate=5.0)
+        a = (zipf_stream(10_000, 100, seed=1), 10.0)
+        b = (zipf_stream(5_000, 100, seed=2), 5.0)
         lines, tags = merge_streams_by_rate([a, b], rng)
         counts = np.bincount(tags)
         assert counts[0] / counts[1] == pytest.approx(2.0, rel=0.01)
 
     def test_preserves_stream_order(self):
         rng = np.random.default_rng(0)
-        a = StreamComponent("a", np.arange(1000), rate=1.0)
-        b = StreamComponent("b", np.arange(1000, 2000), rate=1.0)
+        a = (np.arange(1000), 1.0)
+        b = (np.arange(1000, 2000), 1.0)
         lines, tags = merge_streams_by_rate([a, b], rng)
         assert (np.diff(lines[tags == 0]) > 0).all()
         assert (np.diff(lines[tags == 1]) > 0).all()
@@ -181,11 +181,38 @@ class TestMergeStreams:
     def test_minor_short_stream_does_not_strangle(self):
         """A tiny minor-rate stream must not truncate the major streams."""
         rng = np.random.default_rng(0)
-        major = StreamComponent("major", np.arange(100_000), rate=10.0)
-        minor = StreamComponent("minor", np.arange(50), rate=1.0)
+        major = (np.arange(100_000), 10.0)
+        minor = (np.arange(50), 1.0)
         lines, tags = merge_streams_by_rate([major, minor], rng)
         assert np.count_nonzero(tags == 0) == 100_000
 
     def test_rejects_empty_list(self):
         with pytest.raises(ConfigurationError):
             merge_streams_by_rate([], np.random.default_rng(0))
+
+    def test_rejects_bad_streams(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError):
+            merge_streams_by_rate([(np.arange(10), 0.0)], rng)
+        with pytest.raises(TraceError):
+            merge_streams_by_rate([(np.empty(0, np.int64), 1.0)], rng)
+
+
+class TestMissStream:
+    def test_matches_miss_component(self):
+        component = StreamComponent("x", zipf_stream(3000, 500), rate=10.0)
+        composite = CompositeCache([component], 32)
+        lines, rate = composite.miss_stream("x")
+        miss = composite.miss_component("x")
+        np.testing.assert_array_equal(lines, miss.lines)
+        assert rate == miss.rate
+
+    def test_all_miss_shares_lines(self):
+        component = StreamComponent("x", np.arange(100, dtype=np.int64), rate=1.0)
+        lines, rate = CompositeCache([component], 8).miss_stream("x")
+        assert lines is component.lines
+        assert rate == component.rate
+
+    def test_none_when_everything_hits(self):
+        component = StreamComponent("x", np.array([1, 1, 1, 1]), rate=1.0)
+        assert CompositeCache([component], 1024).miss_stream("x") is None

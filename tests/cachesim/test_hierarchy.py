@@ -1,6 +1,5 @@
 """Tests for the multi-level hierarchy driver (exact and analytic)."""
 
-import numpy as np
 import pytest
 
 from repro._units import KiB, MiB
@@ -17,7 +16,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.hw import catalog
 from repro.hw.adapters import hierarchy_config
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
-from repro.memtrace.trace import AccessKind, Segment, Trace
+from repro.memtrace.trace import AccessKind, Trace
 
 #: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
 PLT1_SIM = hierarchy_config(catalog.plt1_simulated())
@@ -80,7 +79,7 @@ class TestHierarchyConfig:
 
     def test_levels_listing(self):
         config = PLT1_SIM
-        assert [l.name for l in config.levels()] == ["L1I", "L1D", "L2", "L3"]
+        assert [level.name for level in config.levels()] == ["L1I", "L1D", "L2", "L3"]
 
 
 class TestExactEngine:

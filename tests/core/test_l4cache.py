@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro._units import MiB
-from repro.core.l4cache import L4Cache, L4Config, L4Result
+from repro.core.l4cache import L4Cache, L4Config
 from repro.errors import ConfigurationError
 from repro.memtrace.trace import Segment
 
@@ -115,6 +117,37 @@ class TestSimulation:
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             L4Cache(L4Config()).simulate(np.array([1, 2]), np.array([1], np.uint8))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, -1, 2], np.int64),
+            np.array([0, len(Segment), 1], np.int64),
+            np.array([0, 255, 1], np.uint8),
+            np.array([0.0, 1.0, 2.0]),
+        ],
+        ids=["negative", "past-last", "uint8-past-last", "float"],
+    )
+    @pytest.mark.parametrize("associativity", ["direct", "full"])
+    def test_non_segment_codes_rejected(self, bad, associativity):
+        config = L4Config(capacity=MiB, associativity=associativity)
+        with pytest.raises(ConfigurationError, match="segments"):
+            L4Cache(config).simulate(np.array([1, 2, 3], np.int64), bad)
+
+    @given(
+        codes=st.lists(st.integers(-8, 12), min_size=1, max_size=64),
+    )
+    def test_accepts_exactly_segment_codes(self, codes):
+        """Every stream of valid codes simulates; any other value raises."""
+        segments = np.array(codes, np.int64)
+        lines = np.arange(len(codes), dtype=np.int64)
+        cache = L4Cache(L4Config(capacity=MiB))
+        if all(0 <= code < len(Segment) for code in codes):
+            result = cache.simulate(lines, segments)
+            assert sum(result.segment_accesses.values()) == len(codes)
+        else:
+            with pytest.raises(ConfigurationError):
+                cache.simulate(lines, segments)
 
 
 class TestPhysicalDesign:

@@ -6,11 +6,7 @@ import pytest
 from repro._units import MiB
 from repro.core.area import AreaModel
 from repro.core.hitcurve import LogLinearHitCurve
-from repro.core.optimizer import (
-    DesignEvaluation,
-    HierarchyDesignEvaluator,
-    SensitivityScenario,
-)
+from repro.core.optimizer import HierarchyDesignEvaluator, SensitivityScenario
 from repro.core.perf_model import SearchPerfModel
 from repro.errors import ConfigurationError
 

@@ -3,7 +3,6 @@ shape claims at the quick preset."""
 
 import pytest
 
-from repro._units import MiB
 from repro.experiments import RunPreset
 from repro.experiments import (
     adaptive,
@@ -27,7 +26,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.common import ExperimentResult, composed_run
+from repro.experiments.common import ExperimentResult
 
 
 

@@ -142,8 +142,8 @@ class TestSequentialRuns:
     )
     def test_matches_naive_expansion(self, runs):
         starts = np.array([s for s, _ in runs], np.int64)
-        lengths = np.array([l for _, l in runs], np.int64)
-        expected = [s + i for s, l in runs for i in range(l)]
+        lengths = np.array([length for _, length in runs], np.int64)
+        expected = [s + i for s, length in runs for i in range(length)]
         assert list(sequential_runs(starts, lengths)) == expected
 
 

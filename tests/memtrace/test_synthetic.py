@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from repro._units import GiB, KiB, MiB
+from repro._units import GiB
 from repro.errors import ConfigurationError
 from repro.memtrace.stats import unique_lines
-from repro.memtrace.synthetic import (
-    CodeModel,
-    HeapModel,
-    ShardModel,
-    StackModel,
-    SyntheticWorkload,
-    WorkloadConfig,
-)
+from repro.memtrace.synthetic import StackModel, SyntheticWorkload, WorkloadConfig
 from repro.memtrace.trace import AccessKind, Segment
 
 

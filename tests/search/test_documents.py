@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.search.documents import Corpus, CorpusConfig, Document, Vocabulary
+from repro.search.documents import Corpus, CorpusConfig, Vocabulary
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.search.cluster import SearchCluster
-from repro.search.documents import Corpus, CorpusConfig
+from repro.search.documents import CorpusConfig
 from repro.search.engine import (
     CoreSpec,
     EventLoop,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.memtrace.trace import Segment
-from repro.search.documents import Corpus, CorpusConfig, Document
+from repro.search.documents import Corpus, CorpusConfig
 from repro.search.indexer import InvertedIndexBuilder
 from repro.search.simmem import SimulatedMemory
 

@@ -1,6 +1,5 @@
 """Tests for query generation, tokenization, and the footprint model."""
 
-import numpy as np
 import pytest
 
 from repro._units import GiB

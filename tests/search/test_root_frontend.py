@@ -180,9 +180,9 @@ class TestFrontend:
         frontend = FrontendServer(root, vocabulary=corpus.vocabulary)
         term = int(corpus[0].terms[0])
         frontend.search_terms([term])
-        served_before = sum(l.queries_served for l in leaves)
+        served_before = sum(leaf.queries_served for leaf in leaves)
         frontend.search_terms([term])
-        assert sum(l.queries_served for l in leaves) == served_before
+        assert sum(leaf.queries_served for leaf in leaves) == served_before
 
     def test_normalization_order_independent(self, corpus, leaves):
         frontend = FrontendServer(RootServer(leaves))
