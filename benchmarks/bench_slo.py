@@ -16,7 +16,11 @@ def test_slo_regeneration(run_once, preset, benchmark):
     assert rates == sorted(rates)
     degraded = [r["degraded_rate"] for r in sweep]
     assert degraded == sorted(degraded)
-    assert degraded[0] == 0.0 and degraded[-1] > 0.2
+    # Nothing is injected at x=0, yet an M/M/1 leaf at rho=0.5 (mean
+    # 16 ms) overruns the 146 ms leaf budget with probability
+    # e^(-146/16) ~ 1.1e-4, so ~0.09% of 8-leaf queries still degrade.
+    assert sweep[0]["spikes"] == 0 and sweep[0]["transient_errors"] == 0
+    assert degraded[0] < 0.01 and degraded[-1] > 0.2
     p99 = [r["p99_ms"] for r in sweep]
     assert p99 == sorted(p99)
     assert all(r["availability"] > 0.99 for r in sweep)

@@ -13,7 +13,7 @@ finding.  Units come from three anchor sources:
   nanoseconds; dividing a byte expression by ``MiB`` yields MiB, a
   nanosecond expression by ``MS`` yields milliseconds (the constants
   are conversion factors, so the algebra follows them);
-* **function summaries** — a call to ``leaf_latency_ms(...)`` is
+* **function summaries** — a call to ``sample_leaf_ms(...)`` is
   milliseconds by name; resolved calls use the interprocedural return
   summaries computed by the checker.
 

@@ -61,20 +61,26 @@ def pareto_frontier(points: Sequence, objectives=OBJECTIVES) -> list:
     best first — so the frontier is invariant to the candidate order
     (ties on the full vector keep their relative input order, but equal
     vectors are interchangeable by construction).
+
+    Candidates are visited in that order and each is checked only
+    against the frontier found so far: a dominator is lexicographically
+    better, so it was visited earlier, and if it was itself dominated
+    then by transitivity some frontier member dominates the candidate
+    too.  Cost is O(n log n + n * frontier size).
     """
     points = list(points)
     if not points:
         return []
     matrix = _oriented(points, objectives)
-    keep = np.ones(len(points), dtype=bool)
-    for index in range(len(points)):
+    # Stable sort, descending on the first objective, then the next ...
+    order = np.lexsort(-matrix.T[::-1])
+    frontier = np.empty_like(matrix)
+    kept: list[int] = []
+    for index in order:
         row = matrix[index]
-        dominated = (matrix >= row).all(axis=1) & (matrix > row).any(axis=1)
-        if dominated.any():
-            keep[index] = False
-    frontier = [point for index, point in enumerate(points) if keep[index]]
-    order = sorted(
-        range(len(frontier)),
-        key=lambda i: tuple(-v for v in matrix[keep][i]),
-    )
-    return [frontier[i] for i in order]
+        front = frontier[: len(kept)]
+        if ((front >= row).all(axis=1) & (front > row).any(axis=1)).any():
+            continue
+        frontier[len(kept)] = row
+        kept.append(int(index))
+    return [points[index] for index in kept]

@@ -32,22 +32,6 @@ class ServingError(ReproError, RuntimeError):
     """A query could not be served by the aggregation tree."""
 
 
-class LeafUnavailableError(ServingError):
-    """A leaf server failed to answer an RPC (transient or fail-stop).
-
-    ``transient`` distinguishes retryable failures from fail-stop ones;
-    ``after_ms`` is the simulated time the caller spent before learning
-    of the failure (error responses are not free).
-    """
-
-    def __init__(self, leaf_id: int, transient: bool, after_ms: float) -> None:
-        kind = "transient error" if transient else "hard failure"
-        super().__init__(f"leaf {leaf_id}: {kind} after {after_ms:.2f} ms")
-        self.leaf_id = leaf_id
-        self.transient = transient
-        self.after_ms = after_ms
-
-
 class SaturatedQueueError(ServingError):
     """A queueing computation was asked about a saturated queue (ρ >= 1).
 

@@ -8,7 +8,7 @@ Three studies on the event-driven serving core
   M/M/1 leaf at ρ = 0.5, faults off: the *measured* p50/p99 (averaged
   over independent replications) agree with the closed-form quantiles
   within 5%.  This is the differential test between the two latency
-  worlds — the synchronous tree samples the formula, the engine
+  worlds — the closed-loop tree samples the formula, the engine
   reproduces it from actual queueing.
 * **saturation** — offered load swept through and past capacity
   (ρ = 0.7, 1.0, 1.3).  Past saturation the closed-form model has

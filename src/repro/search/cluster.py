@@ -226,18 +226,6 @@ class SearchCluster:
             metrics=self.metrics,
         )
 
-    def _aggregation_levels(self) -> int:
-        """Depth of the aggregation tree above the leaves."""
-
-        def depth(node: RootServer) -> int:
-            deepest = 0
-            for child in node.children:
-                if isinstance(child, RootServer):
-                    deepest = max(deepest, depth(child))
-            return 1 + deepest
-
-        return depth(self.frontend.root)
-
     def with_engine(
         self,
         spec: FaultSpec | None = None,
@@ -252,8 +240,8 @@ class SearchCluster:
         owns a fresh injector and event loop, so open-loop campaigns
         can be swept without rebuilding the index.  Its queue metrics
         (``repro.search.queue.*``) and reused fan-out counters publish
-        into the cluster's shared registry.  Aggregation depth matches
-        the synchronous tree's, so overhead accounting agrees.
+        into the cluster's shared registry.  The engine's tree is the
+        cluster's aggregation tree, so overhead accounting agrees.
         """
         injector = FaultInjector(
             spec if spec is not None else FaultSpec(utilization=0.0),
@@ -261,13 +249,14 @@ class SearchCluster:
             seed=seed,
             metrics=self.metrics,
         )
+        leaves, tree = self.frontend.root.layout()
         return ServingEngine(
-            leaves=self.leaves,
+            leaves=leaves,
             injector=injector,
             policy=policy,
             queue=queue,
             metrics=self.metrics,
-            aggregation_levels=self._aggregation_levels(),
+            tree=tree,
         )
 
     def serve_open_loop(

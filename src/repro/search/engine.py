@@ -1,41 +1,54 @@
-"""Event-driven serving core: queues, replicas, batching, heterogeneity.
+"""The serving core: one event-driven path for every fan-out query.
 
-The synchronous tree in :mod:`repro.search.root` *samples* each leaf's
-sojourn time from the closed-form M/M/1 model — waiting is baked into
-every draw, so utilization is an input and overload (ρ >= 1) is
-unrepresentable.  This module turns the arrow around: leaves become
-actual queues drained by replica servers under a simulated-time event
-loop, service times are drawn at ρ = 0 (pure work), and *waiting
-emerges* from contention between overlapping queries.  p50/p99/p999 are
-then measured quantities, valid at any offered load — including past
-saturation, where admission control sheds excess work and pages degrade
-instead of the model raising.
+The paper's serving hierarchy (Figure 1) fans each query out to every
+leaf and merges the replies up an aggregation tree under a latency SLO
+(§IV-B).  :class:`ServingEngine` is the only implementation of that
+fan-out: retries, hedges, deadlines and partial aggregation live here
+and nowhere else.  It serves two kinds of caller:
+
+* **Closed loop, one query at a time** —
+  :meth:`repro.search.root.RootServer.search` submits a single query to
+  a fresh engine over its tree.  The queue shape is ``"none"`` (no RPC
+  waits) and the injector's spec carries the utilization, so every
+  leaf's sojourn time is *sampled* from the closed-form M/M/1 model.
+* **Open loop, many overlapping queries** — the load generator and the
+  ``hurryup`` experiment submit Poisson arrivals.  Leaves become actual
+  queues drained by replica servers, service times are drawn at ρ = 0
+  (pure work), and *waiting emerges* from contention.  p50/p99/p999 are
+  then measured quantities, valid at any offered load — including past
+  saturation, where admission control sheds excess work and pages
+  degrade instead of the model raising.
 
 Components:
 
-* :class:`EventLoop` — a deterministic discrete-event loop over the
-  injector's :class:`~repro.search.faults.SimulatedClock` (heap ordered
-  by time with a scheduling-sequence tie-break; cancellable handles).
-* :class:`QueueConfig` — per-leaf queue shape: discipline (FIFO or
-  earliest-deadline-first), replica count, admission depth limit, and
-  RPC batching.
-* :class:`ServingEngine` — fans queries out to per-leaf replica queues
-  (least-loaded balancing), drives the PR-2 robustness machinery —
-  retries, hedges, deadlines — as events, and emits pages whose
-  ``latency_ms`` is measured queueing delay.  Fault and latency draws
-  come from the injector's *keyed* streams
-  (:meth:`~repro.search.faults.FaultInjector.plan_rpc` with
-  ``utilization=0.0``), so an engine run and a synchronous run of the
-  same scenario consume identical variates.
+* :class:`EventLoop` — a deterministic discrete-event loop over a
+  :class:`~repro.search.faults.SimulatedClock` (heap ordered by time
+  with a scheduling-sequence tie-break; cancellable handles).
+* :class:`QueueConfig` — per-leaf queue shape: discipline (FIFO,
+  earliest-deadline-first, or none), replica count, admission depth
+  limit, and RPC batching.
+* :class:`ServingEngine` — fans queries out over a tree of leaves,
+  drives retries, hedges and deadlines as events, and emits pages.
+  Fault and latency draws come from the injector's *keyed* streams
+  (:meth:`~repro.search.faults.FaultInjector.plan_rpc`), so a query's
+  draws do not depend on how it interleaved with others.
 * :class:`HeterogeneousPool` — big/little cores with deadline-aware
   "hurry up" migration (after arXiv:1912.09844; energy framing in
   arXiv:2303.08396): work starts on efficient little cores and jumps to
   big ones exactly when the deadline is at risk.
 
-Queue behaviour is observable as the ``repro.search.queue.*`` metric
-family (wait/service/sojourn histograms, depth gauge, shed/batch
-counters); the engine reuses the ``repro.search.root.*`` fan-out
-counters so dashboards written for the synchronous tree keep working.
+Deadlines follow the tree: each aggregation level keeps
+``policy.overhead_ms`` of the budget for its merge, so a leaf must
+answer by ``D - levels * overhead`` (clamped at 0 per level).  A query
+missing any leaf then returns a degraded page with latency exactly
+``D``; once every leaf has resolved the deadline no longer applies.
+
+Observability: the fan-out counters (``repro.search.root.*``), the
+queue family (``repro.search.queue.*``: wait/service/sojourn
+histograms, depth gauge, shed/batch counters) and the engine family
+(``repro.search.engine.*``).  With a tracer, every query emits a
+``root.aggregate`` span per aggregator and a ``leaf.rpc`` span per leaf,
+mirroring the tree, when its page is ready.
 """
 
 from __future__ import annotations
@@ -43,23 +56,126 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, log_spaced_bounds
+from repro.obs.metrics import (
+    NULL_REGISTRY,
+    Counter,
+    MetricsRegistry,
+    log_spaced_bounds,
+)
+from repro.obs.tracing import NULL_TRACER, SpanContext, Tracer
 from repro.search.faults import (
     HEDGE_ATTEMPT_OFFSET,
     FaultInjector,
+    FaultSpec,
     RpcDraw,
     SimulatedClock,
 )
 from repro.search.leaf import LeafServer, SearchHit
 from repro.search.policies import ServingPolicy
-from repro.search.root import SearchResultPage, _merge_hits
 
 #: Queue-delay buckets: 0.01 ms .. 100 s, fine-grained so measured tails
 #: survive bucketing (≈15% bucket width at per_decade=16).
 _QUEUE_BOUNDS = log_spaced_bounds(lo=0.01, hi=100_000.0, per_decade=16)
+
+#: The fan-out families, shared by every level of one tree.
+_FANOUT_FAMILIES = (
+    ("leaf_rpcs", "Logical leaf RPCs issued by aggregators (all tree levels)."),
+    ("retries", "Extra leaf attempts after transient errors."),
+    ("hedged_rpcs", "Backup (hedged) leaf requests issued for slow primaries."),
+    ("deadline_misses", "Leaf replies dropped because the deadline budget expired."),
+    ("leaf_failures", "Leaf RPCs that never answered (failures, retries exhausted)."),
+)
+
+#: A tree of leaf indices: one nesting level per aggregation level.
+LeafTree = Sequence[Union[int, "LeafTree"]]
+
+
+def fanout_counters(registry: MetricsRegistry) -> dict[str, Counter]:
+    """The ``repro.search.root.*`` counters in ``registry``, by short name.
+
+    Short names: ``leaf_rpcs``, ``retries``, ``hedged_rpcs``,
+    ``deadline_misses``, ``leaf_failures``.
+    """
+    return {
+        name: registry.counter(f"repro.search.root.{name}", help=text, unit="rpcs")
+        for name, text in _FANOUT_FAMILIES
+    }
+
+
+@dataclass(frozen=True)
+class SearchResultPage:
+    """What the front end renders: ranked hits plus snippets.
+
+    ``complete`` is False when some leaves' results are missing (deadline
+    expiry or failure); ``leaves_answered``/``leaves_total`` quantify the
+    damage and ``latency_ms`` is the simulated serving latency (None when
+    the query ran without a latency model).
+    """
+
+    terms: tuple[int, ...]
+    hits: tuple[SearchHit, ...]
+    snippets: tuple[str, ...]
+    complete: bool = True
+    leaves_answered: int = 0
+    leaves_total: int = 0
+    latency_ms: float | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.hits) != len(self.snippets):
+            raise ConfigurationError("hits and snippets must align")
+        if not 0 <= self.leaves_answered <= max(self.leaves_total, 0):
+            raise ConfigurationError(
+                f"leaves_answered {self.leaves_answered} inconsistent with "
+                f"leaves_total {self.leaves_total}"
+            )
+
+
+def _merge_hits(hits: Iterable[SearchHit], top_k: int) -> list[SearchHit]:
+    """Merge child results: dedupe by document, rank, truncate.
+
+    A document replicated on several shards must appear once, scored by
+    its best replica; ties break on ascending ``doc_id`` so the merged
+    order is deterministic regardless of child arrival order.
+    """
+    best: dict[int, SearchHit] = {}
+    for hit in hits:
+        current = best.get(hit.doc_id)
+        if current is None or hit.score > current.score:
+            best[hit.doc_id] = hit
+    merged = sorted(best.values(), key=lambda h: (-h.score, h.doc_id))
+    return merged[:top_k]
+
+
+def _tree_levels(tree: LeafTree, num_leaves: int) -> int:
+    """Aggregation levels of ``tree``; rejects malformed shapes."""
+    if isinstance(tree, int):
+        raise ConfigurationError("tree must be a sequence of leaf indices")
+    indices: list[int] = []
+    depths: set[int] = set()
+
+    def walk(node: int | LeafTree, depth: int) -> None:
+        if isinstance(node, int):
+            indices.append(node)
+            depths.add(depth)
+            return
+        if not node:
+            raise ConfigurationError("every aggregator needs at least one child")
+        for child in node:
+            walk(child, depth + 1)
+
+    walk(tree, 0)
+    if sorted(indices) != list(range(num_leaves)):
+        raise ConfigurationError(
+            f"tree must name each of the {num_leaves} leaf indices exactly once"
+        )
+    if len(depths) != 1:
+        raise ConfigurationError(
+            f"every leaf must sit at the same depth, got depths {sorted(depths)}"
+        )
+    return depths.pop()
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +201,10 @@ class EventLoop:
 
     Events fire in ``(time_ms, scheduling order)`` — the monotone
     sequence number breaks same-instant ties, so a run is a pure
-    function of the schedule calls.  The loop advances the shared
-    :class:`~repro.search.faults.SimulatedClock`, keeping every other
-    component (injector death times, span timestamps) on engine time.
+    function of the schedule calls.  The loop moves its
+    :class:`~repro.search.faults.SimulatedClock` to each event's time
+    exactly, keeping every component that shares the clock (injector
+    death times, span timestamps) on engine time.
     """
 
     def __init__(self, clock: SimulatedClock | None = None) -> None:
@@ -138,9 +255,7 @@ class EventLoop:
             heapq.heappop(self._heap)
             if handle.cancelled:
                 continue
-            # Guard against float round-off when chained completions
-            # land a hair before "now".
-            self.clock.advance(max(0.0, time_ms - self.clock.now_ms))
+            self.clock.advance_to(time_ms)
             callback()
             executed += 1
         self.events_run += executed
@@ -151,7 +266,7 @@ class EventLoop:
 # Leaf queues
 # ----------------------------------------------------------------------
 
-_DISCIPLINES = ("fifo", "edf")
+_DISCIPLINES = ("fifo", "edf", "none")
 
 
 @dataclass(frozen=True)
@@ -160,13 +275,16 @@ class QueueConfig:
 
     ``discipline`` orders waiting RPCs: ``"fifo"`` by arrival,
     ``"edf"`` by earliest absolute deadline (deadline-less RPCs sort
-    last).  ``replicas`` is the number of identical servers per leaf;
-    arrivals join the least-loaded replica's queue.  ``max_depth``
-    (per replica, queued + in service) is the admission limit — beyond
-    it the RPC is shed immediately, which is what keeps a saturated
-    engine degraded instead of unboundedly backlogged.  ``max_batch``
-    RPCs are drained per server dispatch, paying ``batch_overhead_ms``
-    once per batch; ``max_batch=1`` with one replica is exactly M/M/1.
+    last), ``"none"`` has no queue at all — every RPC completes exactly
+    its draw after it is issued, for injectors whose draws already
+    include the wait (a spec with ρ > 0).  ``replicas`` is the number of
+    identical servers per leaf; arrivals join the least-loaded replica's
+    queue.  ``max_depth`` (per replica, queued + in service) is the
+    admission limit — beyond it the RPC is shed immediately, which is
+    what keeps a saturated engine degraded instead of unboundedly
+    backlogged.  ``max_batch`` RPCs are drained per server dispatch,
+    paying ``batch_overhead_ms`` once per batch; ``max_batch=1`` with
+    one replica is exactly M/M/1.
     """
 
     discipline: str = "fifo"
@@ -192,6 +310,16 @@ class QueueConfig:
         if self.batch_overhead_ms < 0:
             raise ConfigurationError(
                 f"batch_overhead_ms must be >= 0, got {self.batch_overhead_ms}"
+            )
+        if self.discipline == "none" and (
+            self.replicas,
+            self.max_depth,
+            self.max_batch,
+            self.batch_overhead_ms,
+        ) != (1, None, 1, 0.0):
+            raise ConfigurationError(
+                "discipline 'none' has no queue: replicas, max_depth and "
+                "batching do not apply"
             )
 
 
@@ -222,7 +350,6 @@ class _LeafReplica:
         #: and the admission-control depth.
         self.outstanding = 0
         self.busy = False
-        self._batch_size = 0
 
     def enqueue(self, job: _Job) -> None:
         engine = self.engine
@@ -245,7 +372,6 @@ class _LeafReplica:
         while self._queue and len(batch) < engine.queue.max_batch:
             batch.append(heapq.heappop(self._queue)[2])
         self.busy = True
-        self._batch_size = len(batch)
         engine._batches.inc()
         # In-batch service is sequential: job i completes after the jobs
         # batched ahead of it, and the server frees when the batch does.
@@ -266,7 +392,6 @@ class _LeafReplica:
 
     def _batch_done(self) -> None:
         self.busy = False
-        self._batch_size = 0
         if self._queue:
             self._start_batch()
 
@@ -285,16 +410,20 @@ class _QueryState:
         "query_key",
         "top_k",
         "start_ms",
+        "deadline_ms",
         "deadline_at_ms",
+        "trace_start_ms",
+        "parent_span",
         "done",
         "resolved",
+        "resolved_ms",
+        "attempts",
         "leaf_hits",
         "answered",
         "resolved_count",
         "hedged",
         "hedge_handles",
         "deadline_handle",
-        "finalize_handle",
     )
 
     def __init__(
@@ -305,6 +434,7 @@ class _QueryState:
         top_k: int,
         start_ms: float,
         deadline_ms: float | None,
+        leaf_budget_ms: float,
         num_leaves: int,
     ) -> None:
         self.seq = seq
@@ -312,18 +442,22 @@ class _QueryState:
         self.query_key = query_key
         self.top_k = top_k
         self.start_ms = start_ms
-        self.deadline_at_ms = (
-            math.inf if deadline_ms is None else start_ms + deadline_ms
-        )
+        self.deadline_ms = deadline_ms
+        #: When every leaf must have answered (absolute simulated ms).
+        self.deadline_at_ms = start_ms + leaf_budget_ms
+        self.trace_start_ms = 0.0
+        self.parent_span: SpanContext | None = None
+        #: True once no further leaf reply can change the page.
         self.done = False
         self.resolved = [False] * num_leaves
+        self.resolved_ms = [0.0] * num_leaves
+        self.attempts = [1] * num_leaves
         self.leaf_hits: list[list[SearchHit] | None] = [None] * num_leaves
         self.answered = 0
         self.resolved_count = 0
         self.hedged = [False] * num_leaves
         self.hedge_handles: list[EventHandle | None] = [None] * num_leaves
         self.deadline_handle: EventHandle | None = None
-        self.finalize_handle: EventHandle | None = None
 
 
 class ServingEngine:
@@ -332,15 +466,23 @@ class ServingEngine:
     Construct over real ``leaves`` (pages carry scored hits and
     snippets) or a bare ``num_leaves`` (pure queueing study — no
     content, orders of magnitude faster; what the load generator uses).
-    ``aggregation_levels`` models the tree depth: each level charges
-    ``policy.overhead_ms`` once per query on the way up.
+    ``tree`` arranges the leaf indices under aggregators, one nesting
+    level per aggregation level (default: one aggregator over every
+    leaf); each level charges ``policy.overhead_ms`` once per query on
+    the way up, and every leaf must sit at the same depth.
+
+    ``clock`` runs the event loop on its own clock instead of the
+    injector's: a closed-loop caller serving one query at a time keeps
+    the injector's clock at the query's start (fail-stop deaths are
+    stamped then) while the loop measures the query from zero.  With a
+    ``tracer`` every query emits its span tree when its page is ready.
 
     Use :meth:`submit_at` to schedule arrivals (open loop: arrival
     times come from the workload, never from completions) and
     :meth:`run` to drain the event heap; pages come back in arrival
     order.  All randomness flows through the injector's keyed streams,
-    so two engines over the same scenario — or an engine and the
-    synchronous tree — draw identical faults and service times.
+    so two engines over the same scenario draw identical faults and
+    service times.
     """
 
     def __init__(
@@ -351,8 +493,9 @@ class ServingEngine:
         policy: ServingPolicy | None = None,
         queue: QueueConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        aggregation_levels: int = 1,
-        score_content: bool | None = None,
+        tree: LeafTree | None = None,
+        clock: SimulatedClock | None = None,
+        tracer: Tracer | None = None,
     ) -> None:
         if leaves is None and num_leaves is None:
             raise ConfigurationError("need leaves or num_leaves")
@@ -362,27 +505,31 @@ class ServingEngine:
         )
         if self.num_leaves < 1:
             raise ConfigurationError("need at least one leaf")
-        if aggregation_levels < 1:
-            raise ConfigurationError(
-                f"aggregation_levels must be >= 1, got {aggregation_levels}"
-            )
-        self.injector = injector if injector is not None else FaultInjector()
+        self.tree = tuple(range(self.num_leaves)) if tree is None else tree
+        self.aggregation_levels = _tree_levels(self.tree, self.num_leaves)
+        self.injector = (
+            injector
+            if injector is not None
+            else FaultInjector(FaultSpec(utilization=0.0))
+        )
         self.policy = policy if policy is not None else ServingPolicy()
         self.queue = queue if queue is not None else QueueConfig()
-        self.aggregation_levels = aggregation_levels
-        self.score_content = (
-            (self.leaves is not None) if score_content is None else score_content
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.score_content = self.leaves is not None
+        self.loop = EventLoop(
+            clock=clock if clock is not None else self.injector.clock
         )
-        if self.score_content and self.leaves is None:
-            raise ConfigurationError("score_content needs real leaves")
-        self.loop = EventLoop(clock=self.injector.clock)
-        self._replicas = [
-            [
-                _LeafReplica(self, leaf_index, replica_index)
-                for replica_index in range(self.queue.replicas)
+        self._replicas = (
+            []
+            if self.queue.discipline == "none"
+            else [
+                [
+                    _LeafReplica(self, leaf_index, replica_index)
+                    for replica_index in range(self.queue.replicas)
+                ]
+                for leaf_index in range(self.num_leaves)
             ]
-            for leaf_index in range(self.num_leaves)
-        ]
+        )
         self._pages: dict[int, SearchResultPage] = {}
         self._next_query_seq = 0
         self._next_job_seq = 0
@@ -390,7 +537,7 @@ class ServingEngine:
         self._on_done: Callable[[SearchResultPage], None] | None = None
 
         registry = metrics if metrics is not None else NULL_REGISTRY
-        # The queue family: what the synchronous tree cannot measure.
+        # The queue family: what a sampled sojourn time cannot show.
         self._wait_hist = registry.histogram(
             "repro.search.queue.wait_ms",
             help="Time a leaf RPC spent queued before service began.",
@@ -440,40 +587,14 @@ class ServingEngine:
             unit="ms",
             bounds=_QUEUE_BOUNDS,
         )
-        # Shared fan-out families — same names as the synchronous tree,
-        # so existing dashboards and tests read engine runs unchanged.
-        self._leaf_rpcs = registry.counter(
-            "repro.search.root.leaf_rpcs",
-            help="Logical leaf RPCs issued by aggregators (all tree levels).",
-            unit="rpcs",
-        )
-        self._retries = registry.counter(
-            "repro.search.root.retries",
-            help="Extra leaf attempts after transient errors.",
-            unit="rpcs",
-        )
-        self._hedged = registry.counter(
-            "repro.search.root.hedged_rpcs",
-            help="Backup (hedged) leaf requests issued for slow primaries.",
-            unit="rpcs",
-        )
-        self._deadline_misses = registry.counter(
-            "repro.search.root.deadline_misses",
-            help="Leaf replies dropped because the deadline budget expired.",
-            unit="rpcs",
-        )
-        self._leaf_failures = registry.counter(
-            "repro.search.root.leaf_failures",
-            help="Leaf RPCs that never answered (failures, retries exhausted).",
-            unit="rpcs",
-        )
+        fanout = fanout_counters(registry)
+        self._leaf_rpcs = fanout["leaf_rpcs"]
+        self._retries = fanout["retries"]
+        self._hedged = fanout["hedged_rpcs"]
+        self._deadline_misses = fanout["deadline_misses"]
+        self._leaf_failures = fanout["leaf_failures"]
 
     # ------------------------------------------------------------------
-
-    @property
-    def queries_submitted(self) -> int:
-        """Queries scheduled so far (arrived or not)."""
-        return self._next_query_seq
 
     def on_done(self, callback: Callable[[SearchResultPage], None]) -> None:
         """Register a completion hook (called once per finished page)."""
@@ -489,6 +610,18 @@ class ServingEngine:
         self._depth_total += delta
         self._depth_gauge.set(float(self._depth_total))
 
+    def _leaf_budget_ms(self, deadline_ms: float | None) -> float:
+        """What is left of a deadline once every level kept its overhead.
+
+        Units: milliseconds of simulated time (infinite without one).
+        """
+        if deadline_ms is None:
+            return math.inf
+        budget_ms = deadline_ms
+        for __ in range(self.aggregation_levels):
+            budget_ms = max(0.0, budget_ms - self.policy.overhead_ms)
+        return budget_ms
+
     # ------------------------------------------------------------------
 
     def submit_at(
@@ -498,12 +631,15 @@ class ServingEngine:
         top_k: int = 10,
         deadline_ms: float | None = None,
         query_key: int | None = None,
+        parent_span: SpanContext | None = None,
     ) -> int:
         """Schedule one query's arrival; returns its sequence number.
 
         ``query_key`` defaults to the sequence number — the same
         convention the front end uses — keying this query's fault and
-        latency draws.
+        latency draws.  ``parent_span`` continues a caller's trace (the
+        front end's query span); without one each query's spans start a
+        trace of their own.
 
         Units: ``arrival_ms`` is an absolute simulated time;
         ``deadline_ms`` is a relative budget from arrival (None = no
@@ -519,7 +655,9 @@ class ServingEngine:
         terms_list = [int(t) for t in terms]
         self.loop.schedule_at(
             arrival_ms,
-            lambda: self._start_query(seq, terms_list, key, top_k, deadline_ms),
+            lambda: self._start_query(
+                seq, terms_list, key, top_k, deadline_ms, parent_span
+            ),
         )
         return seq
 
@@ -541,6 +679,7 @@ class ServingEngine:
         query_key: int,
         top_k: int,
         deadline_ms: float | None,
+        parent_span: SpanContext | None,
     ) -> None:
         self._engine_queries.inc()
         query = _QueryState(
@@ -550,32 +689,50 @@ class ServingEngine:
             top_k=top_k,
             start_ms=self.loop.clock.now_ms,
             deadline_ms=deadline_ms,
+            leaf_budget_ms=self._leaf_budget_ms(deadline_ms),
             num_leaves=self.num_leaves,
         )
+        if self.tracer.enabled:
+            query.trace_start_ms = self.injector.clock.now_ms
+            query.parent_span = parent_span
         if deadline_ms is not None:
-            query.deadline_handle = self.loop.schedule(
-                deadline_ms, lambda: self._on_deadline(query)
+            # A leaf answering exactly at its budget is in time.
+            query.deadline_handle = self.loop.schedule_at(
+                math.nextafter(query.deadline_at_ms, math.inf),
+                lambda: self._on_deadline(query),
             )
         for leaf_index in range(self.num_leaves):
             self._leaf_rpcs.inc()
             self._issue_rpc(query, leaf_index, attempt=1)
 
     def _issue_rpc(self, query: _QueryState, leaf_index: int, attempt: int) -> None:
-        # utilization=0.0: the queue in front of this server supplies
-        # the waiting; baking the spec's ρ in as well would double-count.
         draw = self.injector.plan_rpc(
             self._leaf_id(leaf_index),
             query_key=query.query_key,
             attempt=attempt,
-            utilization=0.0,
         )
-        if draw.kind in ("dead", "hard"):
-            # Connection refused: detected without occupying a queue.
+        if attempt < HEDGE_ATTEMPT_OFFSET:
+            query.attempts[leaf_index] = attempt
+        refused = draw.kind in ("dead", "hard")
+        if refused or self.queue.discipline == "none":
+            # A refused connection is detected without occupying a queue;
+            # with no queue at all, every draw is the whole sojourn time.
             self.loop.schedule(
                 draw.latency_ms,
-                lambda: self._rpc_failed(query, leaf_index, attempt, transient=False),
+                lambda: self._rpc_outcome(query, leaf_index, attempt, draw.kind),
             )
+        elif not self._enqueue(query, leaf_index, attempt, draw):
             return
+        if self.policy.hedge is not None and attempt == 1 and not refused:
+            query.hedge_handles[leaf_index] = self.loop.schedule(
+                self.policy.hedge.after_ms,
+                lambda: self._fire_hedge(query, leaf_index, attempt),
+            )
+
+    def _enqueue(
+        self, query: _QueryState, leaf_index: int, attempt: int, draw: RpcDraw
+    ) -> bool:
+        """Queue one RPC on its leaf's least-loaded replica; False if shed."""
         replica = min(
             self._replicas[leaf_index],
             key=lambda r: (r.outstanding, r.replica_index),
@@ -586,7 +743,7 @@ class ServingEngine:
         ):
             self._shed.inc()
             self._rpc_failed(query, leaf_index, attempt, transient=False)
-            return
+            return False
         job = _Job(
             seq=self._next_job_seq,
             query=query,
@@ -597,15 +754,7 @@ class ServingEngine:
         )
         self._next_job_seq += 1
         replica.enqueue(job)
-        if (
-            self.policy.hedge is not None
-            and attempt == 1
-            and not query.hedged[leaf_index]
-        ):
-            query.hedge_handles[leaf_index] = self.loop.schedule(
-                self.policy.hedge.after_ms,
-                lambda: self._fire_hedge(query, leaf_index, attempt),
-            )
+        return True
 
     def _fire_hedge(self, query: _QueryState, leaf_index: int, attempt: int) -> None:
         if query.done or query.resolved[leaf_index]:
@@ -615,12 +764,18 @@ class ServingEngine:
         self._issue_rpc(query, leaf_index, HEDGE_ATTEMPT_OFFSET + attempt)
 
     def _rpc_resolved(self, job: _Job) -> None:
-        now_ms = self.loop.clock.now_ms
-        self._sojourn_hist.observe(now_ms - job.enqueued_ms)
-        if job.draw.kind == "transient":
-            self._rpc_failed(job.query, job.leaf_index, job.attempt, transient=True)
+        self._sojourn_hist.observe(self.loop.clock.now_ms - job.enqueued_ms)
+        self._rpc_outcome(job.query, job.leaf_index, job.attempt, job.draw.kind)
+
+    def _rpc_outcome(
+        self, query: _QueryState, leaf_index: int, attempt: int, kind: str
+    ) -> None:
+        if kind == "ok":
+            self._rpc_succeeded(query, leaf_index)
         else:
-            self._rpc_succeeded(job.query, job.leaf_index)
+            self._rpc_failed(
+                query, leaf_index, attempt, transient=kind == "transient"
+            )
 
     def _rpc_failed(
         self, query: _QueryState, leaf_index: int, attempt: int, transient: bool
@@ -642,6 +797,7 @@ class ServingEngine:
         self._resolve_leaf(query, leaf_index, hits=None)
 
     def _retry(self, query: _QueryState, leaf_index: int, attempt: int) -> None:
+        # A backoff that ends past the deadline never draws the retry.
         if query.done or query.resolved[leaf_index]:
             return
         self._issue_rpc(query, leaf_index, attempt)
@@ -659,7 +815,9 @@ class ServingEngine:
     def _resolve_leaf(
         self, query: _QueryState, leaf_index: int, hits: list[SearchHit] | None
     ) -> None:
+        now_ms = self.loop.clock.now_ms
         query.resolved[leaf_index] = True
+        query.resolved_ms[leaf_index] = now_ms
         query.resolved_count += 1
         handle = query.hedge_handles[leaf_index]
         if handle is not None:
@@ -668,27 +826,33 @@ class ServingEngine:
             query.answered += 1
             query.leaf_hits[leaf_index] = hits
         if query.resolved_count == self.num_leaves:
-            # All leaves resolved: pay the aggregation overhead, then emit.
-            query.finalize_handle = self.loop.schedule(
-                self.policy.overhead_ms * self.aggregation_levels,
-                lambda: self._finalize(query),
+            # Every leaf is in, so the deadline no longer applies; each
+            # level pays its merge overhead on the way up.
+            if query.deadline_handle is not None:
+                query.deadline_handle.cancel()
+            finish_ms = now_ms
+            for __ in range(self.aggregation_levels):
+                finish_ms += self.policy.overhead_ms
+            self.loop.schedule_at(
+                finish_ms,
+                lambda: self._finalize(query, self.loop.clock.now_ms - query.start_ms),
             )
 
     def _on_deadline(self, query: _QueryState) -> None:
-        if query.done:
-            return
-        if query.finalize_handle is not None:
-            query.finalize_handle.cancel()
+        query.done = True
         for leaf_index in range(self.num_leaves):
             if not query.resolved[leaf_index]:
                 self._deadline_misses.inc()
-        self._finalize(query)
+        deadline_ms = query.deadline_ms
+        assert deadline_ms is not None
+        # A straggler made the root wait out its whole budget.
+        self.loop.schedule_at(
+            max(self.loop.clock.now_ms, query.start_ms + deadline_ms),
+            lambda: self._finalize(query, deadline_ms),
+        )
 
-    def _finalize(self, query: _QueryState) -> None:
+    def _finalize(self, query: _QueryState, latency_ms: float) -> None:
         query.done = True
-        if query.deadline_handle is not None:
-            query.deadline_handle.cancel()
-        latency_ms = self.loop.clock.now_ms - query.start_ms
         merged = _merge_hits(
             (hit for hits in query.leaf_hits if hits for hit in hits),
             query.top_k,
@@ -711,6 +875,8 @@ class ServingEngine:
         if not complete:
             self._engine_degraded.inc()
         self._engine_latency.observe(latency_ms)
+        if self.tracer.enabled:
+            self._trace(query, self.tree, query.parent_span, query.deadline_ms, True)
         page = SearchResultPage(
             terms=tuple(query.terms),
             hits=tuple(merged),
@@ -723,6 +889,72 @@ class ServingEngine:
         self._pages[query.seq] = page
         if self._on_done is not None:
             self._on_done(page)
+
+    def _trace(
+        self,
+        query: _QueryState,
+        node: LeafTree,
+        parent: SpanContext | None,
+        budget_ms: float | None,
+        top: bool,
+    ) -> tuple[int, int, float, bool]:
+        """Emit one aggregator's span subtree; returns its reply summary.
+
+        The summary is ``(answered, total, ready_ms, missed_deadline)``:
+        an aggregator is ready ``overhead_ms`` after its slowest child,
+        or at its own budget when a leaf below it missed the deadline.
+
+        Units: ``budget_ms`` is this level's deadline budget in
+        simulated milliseconds (None = no deadline).
+        """
+        tracer = self.tracer
+        start_ms = query.trace_start_ms
+        span = tracer.start_span(
+            "root.aggregate", parent=parent, start_ms=start_ms
+        ).tag(children=len(node), snippets=top and self.score_content)
+        child_budget_ms = (
+            None
+            if budget_ms is None
+            else max(0.0, budget_ms - self.policy.overhead_ms)
+        )
+        answered = total = 0
+        completion_ms = 0.0
+        missed = False
+        for child in node:
+            if isinstance(child, int):
+                total += 1
+                if not query.resolved[child]:
+                    outcome, ready_ms, child_missed = "deadline", child_budget_ms, True
+                else:
+                    ready_ms = query.resolved_ms[child] - query.start_ms
+                    outcome = "failed" if query.leaf_hits[child] is None else "ok"
+                    child_missed = False
+                answered += outcome == "ok"
+                assert ready_ms is not None
+                tracer.start_span(
+                    "leaf.rpc", parent=span.context, start_ms=start_ms
+                ).tag(
+                    shard=self._leaf_id(child),
+                    attempts=query.attempts[child],
+                    hedged=query.hedged[child],
+                    outcome=outcome,
+                ).finish(ready_ms)
+            else:
+                child_answered, child_total, ready_ms, child_missed = self._trace(
+                    query, child, span.context, child_budget_ms, False
+                )
+                answered += child_answered
+                total += child_total
+            completion_ms = max(completion_ms, ready_ms)
+            missed = missed or child_missed
+        if missed and budget_ms is not None:
+            completion_ms = budget_ms
+        else:
+            completion_ms += self.policy.overhead_ms
+        span.tag(answered=answered, total=total, missed_deadline=missed).finish(
+            completion_ms
+        )
+        return answered, total, completion_ms, missed
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,12 @@ those behaviours deterministically:
 * :class:`FaultSpec` — per-leaf-call probabilities of latency spikes,
   transient errors, and fail-stop deaths, plus the queueing utilization
   the healthy latency draws are conditioned on.
-* :class:`FaultInjector` — the seeded sampler the aggregators consult
-  before every leaf RPC.  Healthy calls draw an M/M/1 sojourn time from
-  :class:`~repro.search.latency.QueryLatencyModel`; faulty ones raise
-  :class:`~repro.errors.LeafUnavailableError` with the simulated time the
-  caller lost before learning of the failure.
+* :class:`FaultInjector` — the seeded sampler the serving engine
+  (:mod:`repro.search.engine`) consults before every leaf RPC.
+  :meth:`FaultInjector.plan_rpc` classifies the attempt (ok, transient,
+  hard, dead) and returns the simulated time the caller loses before the
+  outcome surfaces; healthy calls draw an M/M/1 sojourn time from
+  :class:`~repro.search.latency.QueryLatencyModel` at the spec's ρ.
 
 Every draw consumes the same number of random variates regardless of the
 configured rates, so runs at different fault rates are *coupled*: the
@@ -26,14 +27,12 @@ changes.  That is what makes the SLO experiment's sweeps smooth at modest
 query counts.
 
 Draws come in two flavours.  The legacy *shared-stream* draws consume
-variates in call order from one generator — fine for a single
-synchronous call tree, but any reordering (an event loop interleaving
-leaf RPCs of overlapping queries) silently re-deals every fault.  The
-*keyed* draws instead derive an independent generator per
-``(leaf, query, attempt)`` from a stable
-:class:`numpy.random.SeedSequence` spawn key, so the event-driven engine
-and the synchronous tree executing the same scenario see byte-identical
-fault and latency sequences regardless of execution order.
+variates in call order from one generator — any reordering of the calls
+silently re-deals every fault.  The *keyed* draws instead derive an
+independent generator per ``(leaf, query, attempt)`` from a stable
+:class:`numpy.random.SeedSequence` spawn key, so a query's faults and
+latencies do not depend on how the event loop interleaved it with other
+queries' RPCs.
 """
 
 from __future__ import annotations
@@ -42,16 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, LeafUnavailableError
+from repro.errors import ConfigurationError
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.search.latency import QueryLatencyModel
 
 
 #: Attempt-number namespace for hedged (backup) RPCs: hedge N of a leaf
 #: call draws from attempt ``HEDGE_ATTEMPT_OFFSET + N``, so primaries and
-#: hedges never share a keyed stream.  Shared by the synchronous tree and
-#: the event-driven engine — part of what keeps their draw sequences
-#: byte-identical.
+#: hedges never share a keyed stream.
 HEDGE_ATTEMPT_OFFSET = 1_000
 
 
@@ -74,6 +71,18 @@ class SimulatedClock:
                 f"time cannot move backwards: delta {delta_ms}"
             )
         self._now_ms += delta_ms
+        return self._now_ms
+
+    def advance_to(self, time_ms: float) -> float:
+        """Move time to ``time_ms`` exactly (earlier times leave it put).
+
+        ``advance(time_ms - now_ms)`` can land a bit off the target —
+        ``now + (t - now)`` need not round back to ``t`` — which would
+        make event times depend on the clock's history.  Returns the new
+        time.
+        """
+        if time_ms > self._now_ms:
+            self._now_ms = float(time_ms)
         return self._now_ms
 
 
@@ -137,16 +146,16 @@ class RpcDraw:
 class FaultInjector:
     """Samples per-RPC leaf behaviour from a :class:`FaultSpec`.
 
-    One injector serves a whole tree; aggregators call
-    :meth:`leaf_latency_ms` once per attempted leaf RPC.  The injector
-    owns the run's :class:`SimulatedClock` (advanced by the front end as
-    queries complete) and records when each fail-stop death happened.
+    One injector serves a whole tree; the serving engine calls
+    :meth:`plan_rpc` once per attempted leaf RPC.  The injector owns the
+    run's :class:`SimulatedClock` (advanced by the front end as queries
+    complete, or by an open-loop engine's event loop) and records when
+    each fail-stop death happened.
 
     Passing a ``query_key`` (any stable non-negative int — the query's
     arrival sequence number by convention) switches a draw from the
     shared call-order stream to an independent keyed stream, making the
-    draw independent of every other RPC's ordering.  The event-driven
-    engine consumes the same keyed draws through :meth:`plan_rpc`.
+    draw independent of every other RPC's ordering.
     """
 
     def __init__(
@@ -247,18 +256,17 @@ class FaultInjector:
         leaf_id: int,
         query_key: int | None = None,
         attempt: int = 1,
-        utilization: float | None = None,
     ) -> RpcDraw:
-        """Draw one leaf RPC's outcome without raising.
+        """Draw one leaf RPC's outcome.
 
         With a ``query_key`` the draw comes from the keyed per-
         ``(leaf, query, attempt)`` stream; without one it consumes the
-        legacy shared stream in call order.  ``utilization`` overrides
-        the spec's queueing utilization for the sojourn draw — the
-        event-driven engine passes 0.0 because *it* supplies the waiting
-        via real queues, while the synchronous tree keeps the spec's ρ
-        baked into each draw.  Every call consumes exactly four variates
-        of its stream, so fault rates stay coupled.
+        legacy shared stream in call order.  The sojourn draw is taken
+        at the spec's utilization: a spec with ρ > 0 bakes the M/M/1
+        wait into every draw (the closed-loop tree's model), while
+        ``utilization=0.0`` draws pure service time for engines whose
+        replica queues supply the waiting.  Every call consumes exactly
+        four variates of its stream, so fault rates stay coupled.
 
         Side effects (counters, fail-stop deaths) happen here, once per
         attempted RPC.
@@ -269,9 +277,8 @@ class FaultInjector:
             if query_key is None
             else self.rng_for(leaf_id, query_key, attempt)
         )
-        rho = self.spec.utilization if utilization is None else utilization
         u_hard, u_transient, u_spike = rng.uniform(size=3)
-        latency = self.model.sample_leaf_ms(rng, rho)
+        latency = self.model.sample_leaf_ms(rng, self.spec.utilization)
 
         if self.is_dead(leaf_id):
             return RpcDraw(kind="dead", latency_ms=self.spec.hard_fail_detect_ms)
@@ -288,25 +295,3 @@ class FaultInjector:
             self._spikes.inc()
             latency *= self.spec.spike_multiplier
         return RpcDraw(kind="ok", latency_ms=latency, spiked=spiked)
-
-    def leaf_latency_ms(
-        self, leaf_id: int, query_key: int | None = None, attempt: int = 1
-    ) -> float:
-        """The simulated latency of one leaf RPC.
-
-        Raises :class:`LeafUnavailableError` for transient errors and for
-        calls to dead (or newly dying) leaves.  Always consumes exactly
-        four random variates so different fault rates share one latency
-        stream; with a ``query_key`` the variates come from the stable
-        keyed stream instead of shared call order.
-        """
-        draw = self.plan_rpc(leaf_id, query_key=query_key, attempt=attempt)
-        if draw.kind in ("dead", "hard"):
-            raise LeafUnavailableError(
-                leaf_id, transient=False, after_ms=draw.latency_ms
-            )
-        if draw.kind == "transient":
-            raise LeafUnavailableError(
-                leaf_id, transient=True, after_ms=draw.latency_ms
-            )
-        return draw.latency_ms

@@ -1,14 +1,14 @@
 """Open-loop load generation for the event-driven serving engine.
 
-The synchronous serving path is *closed-loop*: the simulated client
-waits for each page before issuing the next query, so the system can
-never be offered more load than it drains — overload is structurally
-invisible, which is exactly the blind spot coordinated omission
-describes.  This module generates **open-loop** arrivals: the schedule
-is fixed up front (Poisson, or a recorded trace), queries arrive whether
-or not their predecessors finished, queues grow when the servers fall
-behind, and the measured p50/p99/p999 include every millisecond a query
-spent waiting.
+The sampled serving path (:meth:`~repro.search.root.RootServer.search`)
+is *closed-loop*: the simulated client waits for each page before
+issuing the next query, so the system can never be offered more load
+than it drains — overload is structurally invisible, which is exactly
+the blind spot coordinated omission describes.  This module generates
+**open-loop** arrivals: the schedule is fixed up front (Poisson, or a
+recorded trace), queries arrive whether or not their predecessors
+finished, queues grow when the servers fall behind, and the measured
+p50/p99/p999 include every millisecond a query spent waiting.
 
 Usage::
 
@@ -229,7 +229,7 @@ def run_open_loop(
     than the schedule); None sends contentless queries — the right
     choice for pure queueing studies on an engine built without leaves.
     Query keys are the arrival sequence numbers, so the run consumes
-    exactly the keyed fault/latency draws a synchronous replay would.
+    exactly the keyed fault/latency draws a closed-loop replay would.
 
     Units: ``arrival_times_ms`` are absolute simulated times (sorted
     ascending); ``deadline_ms`` is each query's relative budget.

@@ -4,9 +4,10 @@ Aggregators in a deadline-bound serving tree do not simply wait for every
 child: they retry transient failures, hedge slow RPCs with a duplicate
 request, and budget a fixed aggregation overhead per tree level (the
 "tail at scale" playbook).  These policies are plain configuration — the
-mechanics live in :meth:`repro.search.root.RootServer.search` and the
-randomness in :class:`repro.search.faults.FaultInjector`, so a policy
-object stays reusable across runs and trees.
+mechanics live in :class:`repro.search.engine.ServingEngine` (which
+:meth:`repro.search.root.RootServer.search` drives one query at a time)
+and the randomness in :class:`repro.search.faults.FaultInjector`, so a
+policy object stays reusable across runs and trees.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ class RetryPolicy:
     """Retry budget for transient leaf failures.
 
     ``max_attempts`` counts the initial try; ``backoff_ms`` is the pause
-    between attempts (simulated, added to the leaf's completion time).
-    Hard failures are never retried — a fail-stopped leaf cannot answer.
+    between attempts (simulated, added to the leaf's completion time; a
+    retry whose backoff ends past the leaf's deadline budget is never
+    sent).  Hard failures are never retried — a fail-stopped leaf
+    cannot answer.
     """
 
     max_attempts: int = 2
@@ -48,10 +51,12 @@ class RetryPolicy:
 class HedgePolicy:
     """Duplicate a leaf RPC that has not answered after ``after_ms``.
 
-    The hedged pair completes at ``min(first, after_ms + second)`` — the
-    classic tail-cutting trade: a small amount of duplicate work buys a
-    bounded p99.  Only latency is hedged; a transient error on the hedge
-    simply forfeits the hedge.
+    Only the first attempt is hedged, and the backup is sent whenever
+    that attempt is still outstanding at ``after_ms`` — even if it later
+    fails.  The hedged pair completes at ``min(first, after_ms +
+    second)`` — the classic tail-cutting trade: a small amount of
+    duplicate work buys a bounded p99.  A failed hedge simply forfeits
+    the hedge.
     """
 
     after_ms: float = 50.0

@@ -2,375 +2,135 @@
 
 Queries "propagate down to all leaf nodes; results propagate up the tree,
 with intermediate parents scoring and ordering content" (Figure 1).  A
-:class:`RootServer` fans a query out to its children — leaves or other
-aggregators — merges the returned hits, and (at the true root) asks the
-owning leaves for snippets of the winning documents.
+:class:`RootServer` is one aggregator of that tree: its children are
+leaves or other aggregators, and the true root asks the owning leaves
+for snippets of the winning documents.
 
-The fan-out is deadline- and fault-aware.  A query may carry a deadline
+:meth:`RootServer.search` serves one query, closed loop, by submitting it
+to a fresh :class:`~repro.search.engine.ServingEngine` over the tree's
+leaves and draining it — the fan-out, retries, hedges, deadlines and
+partial aggregation all live in the engine.  A query may carry a deadline
 (milliseconds of simulated time, per :mod:`repro._units` convention);
-each aggregation level spends ``policy.overhead_ms`` of that budget and
-passes the rest to its children.  Leaf RPC latencies and failures are
-drawn from an optional :class:`~repro.search.faults.FaultInjector`;
-transient errors are retried and slow calls hedged per the
-:class:`~repro.search.policies.ServingPolicy`.  Leaves that miss the
-deadline or fail outright are simply left out of the merge: the query
-returns a *degraded* :class:`SearchResultPage` (``complete`` False,
-``leaves_answered < leaves_total``) instead of an error — the
+each aggregation level spends ``policy.overhead_ms`` of that budget.
+Leaf RPC latencies and failures are drawn from an optional
+:class:`~repro.search.faults.FaultInjector` whose spec carries the leaf
+utilization (the draws include the M/M/1 wait, so no RPC queues).
+Leaves that miss the deadline or fail outright are left out of the merge:
+the query returns a *degraded* :class:`SearchResultPage` (``complete``
+False, ``leaves_answered < leaves_total``) instead of an error — the
 graceful-degradation behaviour real serving trees exhibit under the
 paper's §IV-B latency SLO.
 
-Observability: every aggregation level opens a ``root.aggregate`` span
-under the front end's query span, and every leaf call a ``leaf.rpc``
-span tagged with the shard, attempt count, hedging decision, and
-outcome.  Fan-out counters (``repro.search.root.*``) are shared by all
-levels of one tree through the cluster's
-:class:`~repro.obs.metrics.MetricsRegistry` — retries, hedges, deadline
-misses and outright leaf failures are visible per run without parsing
-traces.
+Observability: the engine opens a ``root.aggregate`` span per
+aggregation level under the front end's query span, and a ``leaf.rpc``
+span per leaf tagged with the shard, attempt count, hedging decision,
+and outcome.  Fan-out counters (``repro.search.root.*``) are shared by
+all levels of one tree through the cluster's
+:class:`~repro.obs.metrics.MetricsRegistry`; the engine's own queue and
+engine families stay private to the tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import replace
+from typing import Sequence, Union
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    LeafUnavailableError,
-    ServingError,
+from repro.errors import ConfigurationError, DeadlineExceededError, ServingError
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.tracing import SpanContext, Tracer
+from repro.search.engine import (
+    LeafTree,
+    QueueConfig,
+    SearchResultPage,
+    ServingEngine,
+    fanout_counters,
 )
-from repro.obs.metrics import NULL_REGISTRY, Counter, MetricsRegistry
-from repro.obs.tracing import NULL_TRACER, SpanContext, Tracer
-from repro.search.faults import HEDGE_ATTEMPT_OFFSET, FaultInjector
-from repro.search.leaf import LeafServer, SearchHit
+from repro.search.faults import FaultInjector, RpcDraw, SimulatedClock
+from repro.search.leaf import LeafServer
 from repro.search.policies import ServingPolicy
-
-
-@dataclass(frozen=True)
-class SearchResultPage:
-    """What the front end renders: ranked hits plus snippets.
-
-    ``complete`` is False when some leaves' results are missing (deadline
-    expiry or failure); ``leaves_answered``/``leaves_total`` quantify the
-    damage and ``latency_ms`` is the simulated serving latency (None when
-    the query ran without a latency model).
-    """
-
-    terms: tuple[int, ...]
-    hits: tuple[SearchHit, ...]
-    snippets: tuple[str, ...]
-    complete: bool = True
-    leaves_answered: int = 0
-    leaves_total: int = 0
-    latency_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.hits) != len(self.snippets):
-            raise ConfigurationError("hits and snippets must align")
-        if not 0 <= self.leaves_answered <= max(self.leaves_total, 0):
-            raise ConfigurationError(
-                f"leaves_answered {self.leaves_answered} inconsistent with "
-                f"leaves_total {self.leaves_total}"
-            )
-
 
 Child = Union["RootServer", LeafServer]
 
-#: Robustness defaults shared by every aggregator not given a policy.
-_DEFAULT_POLICY = ServingPolicy()
+#: The injector's draws already include the queueing wait.
+_NO_QUEUE = QueueConfig(discipline="none")
 
 
-def _merge_hits(hits: Iterable[SearchHit], top_k: int) -> list[SearchHit]:
-    """Merge child results: dedupe by document, rank, truncate.
+class _IdealInjector(FaultInjector):
+    """Every leaf answers at once; draws and counts nothing."""
 
-    A document replicated on several shards must appear once, scored by
-    its best replica; ties break on ascending ``doc_id`` so the merged
-    order is deterministic regardless of child arrival order.
-    """
-    best: dict[int, SearchHit] = {}
-    for hit in hits:
-        current = best.get(hit.doc_id)
-        if current is None or hit.score > current.score:
-            best[hit.doc_id] = hit
-    merged = sorted(best.values(), key=lambda h: (-h.score, h.doc_id))
-    return merged[:top_k]
+    _INSTANT = RpcDraw(kind="ok", latency_ms=0.0)
+
+    def plan_rpc(
+        self, leaf_id: int, query_key: int | None = None, attempt: int = 1
+    ) -> RpcDraw:
+        return self._INSTANT
 
 
-@dataclass
-class _SubtreeReply:
-    """One subtree's contribution to a fan-out query."""
-
-    hits: list[SearchHit]
-    answered: int
-    total: int
-    #: When this subtree's merged reply was ready, ms after query start.
-    completion_ms: float
-    missed_deadline: bool
-    answered_leaves: list[LeafServer] = field(default_factory=list)
+#: The no-injector path: zero latency, no aggregation overhead.
+_IDEAL_INJECTOR = _IdealInjector()
+_IDEAL_POLICY = ServingPolicy(overhead_ms=0.0)
 
 
 class RootServer:
     """Aggregates results from a subtree of leaves.
 
-    ``generate_snippets`` is enabled only at the true root — intermediate
-    parents merge and forward.  All nodes of one tree should share a
-    ``metrics`` registry (``build_tree`` wires this) so the fan-out
-    counters aggregate across levels.
+    All nodes of one tree should share a ``metrics`` registry
+    (``build_tree`` wires this) so the fan-out counters aggregate across
+    levels.
     """
 
     def __init__(
         self,
         children: Sequence[Child],
-        generate_snippets: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if not children:
             raise ConfigurationError("a root server needs at least one child")
         self.children = list(children)
-        self.generate_snippets = generate_snippets
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        # Per-instance: only the true root's search() runs, so the last
-        # registration (build_tree constructs the true root last) is the
-        # one that counts.
+        # Per-instance: only the searched root counts, and build_tree
+        # constructs the true root last, so its registration wins.
         self._queries = Counter(
             "repro.search.root.queries",
             help="Queries aggregated by the root server.",
             unit="queries",
         )
-        if metrics is not None and generate_snippets:
+        if metrics is not None:
             metrics.register(self._queries, replace=True)
-        # Shared families: incremented at every level of the tree.
-        self._leaf_rpcs = registry.counter(
-            "repro.search.root.leaf_rpcs",
-            help="Logical leaf RPCs issued by aggregators (all tree levels).",
-            unit="rpcs",
+        # Each query's engine publishes into this private registry, which
+        # holds the tree's shared fan-out counters and nothing else the
+        # caller can see.
+        self._engine_metrics = MetricsRegistry()
+        fanout = fanout_counters(
+            metrics if metrics is not None else self._engine_metrics
         )
-        self._retries = registry.counter(
-            "repro.search.root.retries",
-            help="Extra leaf attempts after transient errors.",
-            unit="rpcs",
-        )
-        self._hedged = registry.counter(
-            "repro.search.root.hedged_rpcs",
-            help="Backup (hedged) leaf requests issued for slow primaries.",
-            unit="rpcs",
-        )
-        self._deadline_misses = registry.counter(
-            "repro.search.root.deadline_misses",
-            help="Leaf replies dropped because the deadline budget expired.",
-            unit="rpcs",
-        )
-        self._leaf_failures = registry.counter(
-            "repro.search.root.leaf_failures",
-            help="Leaf RPCs that never answered (failures, retries exhausted).",
-            unit="rpcs",
-        )
+        for counter in fanout.values():
+            self._engine_metrics.register(counter)
+        self._deadline_misses = fanout["deadline_misses"]
 
     @property
     def queries_served(self) -> int:
         """Queries this aggregator has served (registry-backed)."""
         return self._queries.value
 
-    # ------------------------------------------------------------------
+    def layout(self) -> tuple[list[LeafServer], LeafTree]:
+        """The subtree's leaves (depth first) and their index tree.
 
-    def _leaf_reply(
-        self,
-        leaf: LeafServer,
-        terms: list[int],
-        top_k: int,
-        budget_ms: float | None,
-        injector: FaultInjector | None,
-        policy: ServingPolicy,
-        tracer: Tracer = NULL_TRACER,
-        parent_span: SpanContext | None = None,
-        query_key: int | None = None,
-    ) -> tuple[list[SearchHit] | None, float, bool]:
-        """One leaf RPC with retries and hedging.
-
-        Returns ``(hits, completion_ms, missed_deadline)``; ``hits`` is
-        None when the leaf never answered (failure or deadline).  The
-        leaf's shard is only scored when its reply would actually arrive
-        in time — lost work is lost.  ``query_key`` selects the
-        injector's stable keyed RNG streams (per leaf, query, attempt)
-        so the same scenario replayed through the event-driven engine
-        draws identical faults and latencies.
-
-        Units: ``budget_ms`` is the remaining deadline budget in
-        milliseconds of simulated time (None = no deadline).
+        The tree nests leaf indices one level per aggregator, the shape
+        :class:`~repro.search.engine.ServingEngine` takes as ``tree``.
         """
-        self._leaf_rpcs.inc()
-        span = None
-        if tracer.enabled:
-            start_ms = injector.clock.now_ms if injector is not None else 0.0
-            span = tracer.start_span(
-                "leaf.rpc", parent=parent_span, start_ms=start_ms
-            ).tag(shard=leaf.shard.shard_id)
-        if injector is None:
-            hits = leaf.search(terms, top_k=top_k)
-            if span is not None:
-                span.tag(attempts=1, hedged=False, outcome="ok").finish(0.0)
-            return hits, 0.0, False
-        leaf_id = leaf.shard.shard_id
-        retry = policy.retry
-        elapsed = 0.0
-        hedged_any = False
-        for attempt in range(1, retry.max_attempts + 1):
-            if attempt > 1:
-                self._retries.inc()
-            try:
-                latency = injector.leaf_latency_ms(
-                    leaf_id, query_key=query_key, attempt=attempt
-                )
-            except LeafUnavailableError as error:
-                elapsed += error.after_ms
-                if budget_ms is not None and elapsed > budget_ms:
-                    self._deadline_misses.inc()
-                    if span is not None:
-                        span.tag(
-                            attempts=attempt, hedged=hedged_any, outcome="deadline"
-                        ).finish(budget_ms)
-                    return None, budget_ms, True
-                if not error.transient or attempt == retry.max_attempts:
-                    self._leaf_failures.inc()
-                    if span is not None:
-                        span.tag(
-                            attempts=attempt, hedged=hedged_any, outcome="failed"
-                        ).finish(elapsed)
-                    return None, elapsed, False
-                elapsed += retry.backoff_ms
-                continue
-            if policy.hedge is not None and latency > policy.hedge.after_ms:
-                self._hedged.inc()
-                hedged_any = True
-                try:
-                    hedged = injector.leaf_latency_ms(
-                        leaf_id,
-                        query_key=query_key,
-                        attempt=HEDGE_ATTEMPT_OFFSET + attempt,
-                    )
-                except LeafUnavailableError:
-                    hedged = None  # the hedge itself failed; keep the primary
-                if hedged is not None:
-                    latency = min(latency, policy.hedge.after_ms + hedged)
-            elapsed += latency
-            if budget_ms is not None and elapsed > budget_ms:
-                self._deadline_misses.inc()
-                if span is not None:
-                    span.tag(
-                        attempts=attempt, hedged=hedged_any, outcome="deadline"
-                    ).finish(budget_ms)
-                return None, budget_ms, True
-            hits = leaf.search(terms, top_k=top_k)
-            if span is not None:
-                span.tag(
-                    attempts=attempt, hedged=hedged_any, outcome="ok"
-                ).finish(elapsed)
-            return hits, elapsed, False
-        self._leaf_failures.inc()
-        if span is not None:
-            span.tag(
-                attempts=retry.max_attempts, hedged=hedged_any, outcome="failed"
-            ).finish(elapsed)
-        return None, elapsed, False
-
-    def _collect(
-        self,
-        terms: list[int],
-        top_k: int,
-        budget_ms: float | None = None,
-        injector: FaultInjector | None = None,
-        policy: ServingPolicy = _DEFAULT_POLICY,
-        tracer: Tracer = NULL_TRACER,
-        parent_span: SpanContext | None = None,
-        query_key: int | None = None,
-    ) -> _SubtreeReply:
-        """Fan out and merge; children each return their local top-k.
-
-        ``budget_ms`` is the remaining deadline budget for this subtree;
-        each level keeps ``policy.overhead_ms`` for its own merge and
-        hands the rest down.
-
-        Units: ``budget_ms`` is milliseconds of simulated time.
-        """
-        span = None
-        level_ctx = parent_span
-        if tracer.enabled:
-            start_ms = injector.clock.now_ms if injector is not None else 0.0
-            span = tracer.start_span(
-                "root.aggregate", parent=parent_span, start_ms=start_ms
-            ).tag(children=len(self.children), snippets=self.generate_snippets)
-            level_ctx = span.context
-        child_budget = (
-            None if budget_ms is None else max(0.0, budget_ms - policy.overhead_ms)
-        )
-        merged: list[SearchHit] = []
-        answered_leaves: list[LeafServer] = []
-        answered = total = 0
-        completion = 0.0
-        missed = False
-        for child in self.children:
-            if isinstance(child, LeafServer):
-                total += 1
-                hits, ready_ms, child_missed = self._leaf_reply(
-                    child,
-                    terms,
-                    top_k,
-                    child_budget,
-                    injector,
-                    policy,
-                    tracer=tracer,
-                    parent_span=level_ctx,
-                    query_key=query_key,
-                )
-                if hits is not None:
-                    answered += 1
-                    answered_leaves.append(child)
-                    merged.extend(hits)
-            else:
-                reply = child._collect(
-                    terms,
-                    top_k,
-                    child_budget,
-                    injector,
-                    policy,
-                    tracer=tracer,
-                    parent_span=level_ctx,
-                    query_key=query_key,
-                )
-                total += reply.total
-                answered += reply.answered
-                answered_leaves.extend(reply.answered_leaves)
-                merged.extend(reply.hits)
-                ready_ms, child_missed = reply.completion_ms, reply.missed_deadline
-            completion = max(completion, ready_ms)
-            missed = missed or child_missed
-        if missed and budget_ms is not None:
-            # A straggler forced this level to wait out its entire budget.
-            completion = budget_ms
-        elif injector is not None:
-            completion += policy.overhead_ms
-        if span is not None:
-            span.tag(
-                answered=answered, total=total, missed_deadline=missed
-            ).finish(completion)
-        return _SubtreeReply(
-            hits=_merge_hits(merged, top_k),
-            answered=answered,
-            total=total,
-            completion_ms=completion,
-            missed_deadline=missed,
-            answered_leaves=answered_leaves,
-        )
-
-    def _leaves(self) -> list[LeafServer]:
         leaves: list[LeafServer] = []
-        for child in self.children:
-            if isinstance(child, LeafServer):
-                leaves.append(child)
-            else:
-                leaves.extend(child._leaves())
-        return leaves
+
+        def shape(node: RootServer) -> LeafTree:
+            nested: list[int | LeafTree] = []
+            for child in node.children:
+                if isinstance(child, LeafServer):
+                    nested.append(len(leaves))
+                    leaves.append(child)
+                else:
+                    nested.append(shape(child))
+            return tuple(nested)
+
+        return leaves, shape(self)
 
     def search(
         self,
@@ -387,16 +147,18 @@ class RootServer:
         """Serve one query through the whole subtree.
 
         Without an injector this is the ideal, zero-latency path (every
-        leaf answers, ``latency_ms`` is None).  With one, leaves may
-        spike, error, or die; ``on_incomplete`` selects between returning
-        a degraded page (``"degrade"``, the default) and raising
-        (``"raise"`` → :class:`DeadlineExceededError` when the deadline
-        expired, :class:`ServingError` when leaves failed outright).
+        leaf answers, ``latency_ms`` is None, nothing is drawn).  With
+        one, leaves may spike, error, or die; ``on_incomplete`` selects
+        between returning a degraded page (``"degrade"``, the default)
+        and raising (``"raise"`` → :class:`DeadlineExceededError` when
+        the deadline expired, :class:`ServingError` when leaves failed
+        outright).  Every leaf must sit at the same depth of the tree.
 
         ``tracer``/``parent_span`` continue the front end's query span;
         leave them unset to serve untraced.  ``query_key`` (the query's
         arrival sequence number) keys the injector's per-(leaf, query,
-        attempt) RNG streams; None falls back to shared call-order draws.
+        attempt) RNG streams; it defaults to this root's own arrival
+        count.
 
         Units: ``deadline_ms`` is milliseconds of simulated time.
         """
@@ -408,48 +170,43 @@ class RootServer:
             raise ConfigurationError(
                 f"on_incomplete must be 'degrade' or 'raise', got {on_incomplete!r}"
             )
-        policy = policy or _DEFAULT_POLICY
         self._queries.inc()
-        reply = self._collect(
+        ideal = injector is None
+        leaves, tree = self.layout()
+        engine = ServingEngine(
+            leaves=leaves,
+            injector=_IDEAL_INJECTOR if ideal else injector,
+            policy=_IDEAL_POLICY if ideal else policy,
+            queue=_NO_QUEUE,
+            metrics=self._engine_metrics,
+            tree=tree,
+            # Zero origin: latencies add up from 0.0 exactly, while the
+            # injector's clock stays at the query's start.
+            clock=SimulatedClock(),
+            tracer=tracer,
+        )
+        misses_before = self._deadline_misses.value
+        engine.submit_at(
+            0.0,
             terms,
-            top_k,
-            deadline_ms,
-            injector,
-            policy,
-            tracer=tracer if tracer is not None else NULL_TRACER,
+            top_k=top_k,
+            # No latency, so no deadline can expire.
+            deadline_ms=None if ideal else deadline_ms,
+            query_key=self._queries.value - 1 if query_key is None else query_key,
             parent_span=parent_span,
-            query_key=query_key,
         )
-        complete = reply.answered == reply.total
-        if not complete and on_incomplete == "raise":
-            if reply.missed_deadline:
+        (page,) = engine.run()
+        if not page.complete and on_incomplete == "raise":
+            if self._deadline_misses.value > misses_before:
                 assert deadline_ms is not None
-                raise DeadlineExceededError(deadline_ms, reply.answered, reply.total)
+                raise DeadlineExceededError(
+                    deadline_ms, page.leaves_answered, page.leaves_total
+                )
             raise ServingError(
-                f"{reply.total - reply.answered} of {reply.total} leaves "
-                "failed and retries were exhausted"
+                f"{page.leaves_total - page.leaves_answered} of "
+                f"{page.leaves_total} leaves failed and retries were exhausted"
             )
-        hits = reply.hits
-        snippets: list[str] = []
-        if self.generate_snippets:
-            owner_of = {
-                int(doc): leaf
-                for leaf in reply.answered_leaves
-                for doc in leaf.shard.doc_ids.tolist()
-            }
-            for hit in hits:
-                snippets.append(owner_of[hit.doc_id].snippet(hit.doc_id, terms))
-        else:
-            snippets = ["" for __ in hits]
-        return SearchResultPage(
-            terms=tuple(terms),
-            hits=tuple(hits),
-            snippets=tuple(snippets),
-            complete=complete,
-            leaves_answered=reply.answered,
-            leaves_total=reply.total,
-            latency_ms=None if injector is None else reply.completion_ms,
-        )
+        return replace(page, latency_ms=None) if ideal else page
 
     @classmethod
     def build_tree(
@@ -472,7 +229,7 @@ class RootServer:
             raise ConfigurationError("need at least one leaf")
         while len(level) > fanout:
             level = [
-                cls(level[i : i + fanout], generate_snippets=False, metrics=metrics)
+                cls(level[i : i + fanout], metrics=metrics)
                 for i in range(0, len(level), fanout)
             ]
-        return cls(level, generate_snippets=True, metrics=metrics)
+        return cls(level, metrics=metrics)

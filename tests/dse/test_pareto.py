@@ -10,10 +10,11 @@ only grow when that constraint is relaxed.
 from dataclasses import dataclass
 
 import pytest
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dse.pareto import OBJECTIVES, dominates, pareto_frontier
+from repro.dse.pareto import OBJECTIVES, _oriented, dominates, pareto_frontier
 from repro.errors import ConfigurationError
 
 
@@ -35,6 +36,33 @@ candidates = st.builds(
     energy_per_query=st.floats(min_value=0.1, max_value=50.0),
 )
 candidate_lists = st.lists(candidates, min_size=0, max_size=40)
+#: Few distinct values per objective: ties, duplicates and chains.
+tied_candidates = st.builds(
+    Candidate,
+    qps=st.sampled_from([1.0, 2.0, 3.0]),
+    area_mib=st.sampled_from([1.0, 2.0, 3.0]),
+    energy_per_query=st.sampled_from([0.5, 1.0]),
+)
+
+
+def quadratic_frontier(points, objectives=OBJECTIVES):
+    """The original all-pairs frontier: every point against every point."""
+    points = list(points)
+    if not points:
+        return []
+    matrix = _oriented(points, objectives)
+    keep = np.ones(len(points), dtype=bool)
+    for index in range(len(points)):
+        row = matrix[index]
+        dominated = (matrix >= row).all(axis=1) & (matrix > row).any(axis=1)
+        if dominated.any():
+            keep[index] = False
+    frontier = [point for index, point in enumerate(points) if keep[index]]
+    order = sorted(
+        range(len(frontier)),
+        key=lambda i: tuple(-v for v in matrix[keep][i]),
+    )
+    return [frontier[i] for i in order]
 
 
 class TestDominates:
@@ -100,6 +128,29 @@ class TestFrontier:
         doubled = list(points) + list(points)
         frontier = pareto_frontier(points)
         assert len(pareto_frontier(doubled)) == 2 * len(frontier)
+
+
+class TestAgainstQuadraticOracle:
+    """Same members, same order, same objects as the all-pairs scan."""
+
+    @given(candidate_lists)
+    def test_matches_on_random_candidates(self, points):
+        result = pareto_frontier(points)
+        expected = quadratic_frontier(points)
+        assert [id(p) for p in result] == [id(p) for p in expected]
+
+    @given(st.lists(tied_candidates, min_size=0, max_size=60))
+    def test_matches_on_tied_candidates(self, points):
+        result = pareto_frontier(points)
+        expected = quadratic_frontier(points)
+        assert [id(p) for p in result] == [id(p) for p in expected]
+
+    @given(st.lists(tied_candidates, min_size=1, max_size=30))
+    def test_matches_on_other_objectives(self, points):
+        objectives = (("energy_per_query", "max"), ("qps", "min"))
+        result = pareto_frontier(points, objectives)
+        expected = quadratic_frontier(points, objectives)
+        assert [id(p) for p in result] == [id(p) for p in expected]
 
 
 class TestConstraintRelaxation:

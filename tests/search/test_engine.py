@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.search.cluster import SearchCluster
 from repro.search.documents import CorpusConfig
 from repro.search.engine import (
@@ -35,7 +36,7 @@ class PlannedInjector(FaultInjector):
         self.script = {k: list(v) for k, v in (script or {}).items()}
         self.planned = []
 
-    def plan_rpc(self, leaf_id, query_key=None, attempt=1, utilization=None):
+    def plan_rpc(self, leaf_id, query_key=None, attempt=1):
         self.planned.append((leaf_id, query_key, attempt))
         queue = self.script.get(leaf_id)
         if not queue:
@@ -70,6 +71,18 @@ class TestEventLoop:
         assert fired == ["first", "second", "late"]
         assert loop.clock.now_ms == 5.0
         assert loop.events_run == 3
+
+    def test_clock_lands_exactly_on_event_times(self):
+        """Regression: advancing by ``time - now`` drifted in the last bit,
+        so an event at t could observe a clock reading a hair before t."""
+        loop = EventLoop()
+        target = 5.416179938894346
+        seen = []
+        loop.schedule_at(1.1, lambda: None)
+        loop.schedule_at(target, lambda: seen.append(loop.clock.now_ms))
+        loop.run()
+        assert seen == [target]
+        assert loop.clock.now_ms == target
 
     def test_nested_scheduling(self):
         loop = EventLoop()
@@ -142,9 +155,7 @@ class TestServingEngine:
         with pytest.raises(ConfigurationError):
             ServingEngine(num_leaves=0)
         with pytest.raises(ConfigurationError):
-            ServingEngine(num_leaves=1, aggregation_levels=0)
-        with pytest.raises(ConfigurationError):
-            ServingEngine(num_leaves=1, score_content=True)
+            ServingEngine(num_leaves=1, tree=())
 
     def test_submit_validation(self):
         engine = _engine()
@@ -284,11 +295,36 @@ class TestServingEngine:
         engine = _engine(
             {0: [4.0]},
             policy=ServingPolicy(retry=RetryPolicy(max_attempts=1), overhead_ms=2.0),
-            aggregation_levels=3,
+            tree=(((0,),),),
         )
         engine.submit_at(0.0)
         (page,) = engine.run()
         assert page.latency_ms == 4.0 + 3 * 2.0
+
+    def test_open_loop_queries_are_traced(self):
+        tracer = Tracer(capacity=64)
+        engine = _engine(
+            {0: [30.0, 1.0], 1: [2.0, 2.0]},
+            num_leaves=2,
+            queue=QueueConfig(replicas=2),
+            tracer=tracer,
+        )
+        engine.submit_at(0.0)
+        engine.submit_at(5.0)
+        engine.run()
+        spans = tracer.spans()
+        # Pages finish out of arrival order; each query is its own trace.
+        roots = [s for s in spans if s.name == "root.aggregate"]
+        assert [(s.start_ms, s.duration_ms) for s in roots] == [
+            (5.0, 2.0),
+            (0.0, 30.0),
+        ]
+        assert all(s.parent_id is None for s in roots)
+        for root in roots:
+            leaf_spans = [s for s in spans if s.parent_id == root.span_id]
+            assert [s.tags["shard"] for s in leaf_spans] == [0, 1]
+            assert {s.trace_id for s in leaf_spans} == {root.trace_id}
+            assert root.tags["answered"] == root.tags["total"] == 2
 
     def test_pages_return_in_arrival_order(self):
         engine = _engine({0: [30.0, 1.0]}, queue=QueueConfig(replicas=2))

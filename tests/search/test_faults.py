@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, LeafUnavailableError
+from repro.errors import ConfigurationError
 from repro.search.faults import FaultInjector, FaultSpec, SimulatedClock
 from repro.search.latency import QueryLatencyModel
 
@@ -20,6 +20,17 @@ class TestSimulatedClock:
         clock = SimulatedClock(start_ms=5.0)
         with pytest.raises(ConfigurationError):
             clock.advance(-1.0)
+
+    def test_advance_to_lands_exactly_and_never_goes_back(self):
+        clock = SimulatedClock()
+        clock.advance(1.1)
+        target = 5.416179938894346
+        # The relative step misses the target in the last bit...
+        assert 1.1 + (target - 1.1) != target
+        # ...the absolute one does not.
+        assert clock.advance_to(target) == target
+        assert clock.advance_to(2.0) == target
+        assert clock.now_ms == target
 
     def test_negative_start_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,14 +67,14 @@ class TestFaultInjector:
     def test_deterministic_given_seed(self):
         a = FaultInjector(FaultSpec(latency_spike_rate=0.3), seed=42)
         b = FaultInjector(FaultSpec(latency_spike_rate=0.3), seed=42)
-        assert [a.leaf_latency_ms(0) for __ in range(50)] == [
-            b.leaf_latency_ms(0) for __ in range(50)
+        assert [a.plan_rpc(0) for __ in range(50)] == [
+            b.plan_rpc(0) for __ in range(50)
         ]
 
     def test_healthy_draws_match_model_mean(self):
         spec = FaultSpec(utilization=0.5)
         injector = FaultInjector(spec, model=self.model(), seed=7)
-        draws = [injector.leaf_latency_ms(0) for __ in range(4000)]
+        draws = [injector.plan_rpc(0).latency_ms for __ in range(4000)]
         # M/M/1 sojourn at rho=0.5: mean 8 / 0.5 = 16 ms.
         assert np.mean(draws) == pytest.approx(16.0, rel=0.1)
 
@@ -75,43 +86,41 @@ class TestFaultInjector:
         )
         # Same seed, same variate consumption: draws are coupled 6x.
         for __ in range(20):
-            assert spiky.leaf_latency_ms(1) == pytest.approx(
-                6.0 * calm.leaf_latency_ms(1)
+            assert spiky.plan_rpc(1).latency_ms == pytest.approx(
+                6.0 * calm.plan_rpc(1).latency_ms
             )
         assert spiky.spikes == 20
 
-    def test_transient_errors_raise_and_count(self):
+    def test_transient_errors_fail_and_count(self):
         injector = FaultInjector(FaultSpec(transient_error_rate=1.0), seed=0)
-        with pytest.raises(LeafUnavailableError) as excinfo:
-            injector.leaf_latency_ms(2)
-        assert excinfo.value.transient
-        assert excinfo.value.leaf_id == 2
-        assert excinfo.value.after_ms > 0
+        draw = injector.plan_rpc(2)
+        assert draw.failed and draw.kind == "transient"
+        assert not injector.is_dead(2)
+        assert draw.latency_ms > 0
         assert injector.transient_errors == 1
 
     def test_hard_failure_is_fail_stop(self):
         injector = FaultInjector(FaultSpec(hard_failure_rate=1.0), seed=0)
         injector.clock.advance(100.0)
-        with pytest.raises(LeafUnavailableError) as excinfo:
-            injector.leaf_latency_ms(5)
-        assert not excinfo.value.transient
+        draw = injector.plan_rpc(5)
+        assert draw.kind == "hard"
         assert injector.is_dead(5)
         assert injector.died_at_ms[5] == 100.0
         # Dead leaves keep failing even when the dice would be kind.
         healthy_other = FaultSpec(hard_failure_rate=0.0)
         injector.spec = healthy_other
-        with pytest.raises(LeafUnavailableError):
-            injector.leaf_latency_ms(5)
+        assert injector.plan_rpc(5).kind == "dead"
         # ... but other leaves still answer.
-        assert injector.leaf_latency_ms(6) > 0
+        draw = injector.plan_rpc(6)
+        assert draw.kind == "ok" and draw.latency_ms > 0
 
     def test_revive(self):
         injector = FaultInjector(FaultSpec(hard_failure_rate=1.0), seed=0)
-        with pytest.raises(LeafUnavailableError):
-            injector.leaf_latency_ms(1)
+        assert injector.plan_rpc(1).failed
         injector.revive(1)
         injector.spec = FaultSpec()
-        assert injector.leaf_latency_ms(1) > 0
+        draw = injector.plan_rpc(1)
+        assert draw.kind == "ok" and draw.latency_ms > 0
 
     def test_variate_consumption_is_rate_independent(self):
         """Runs at different fault rates share one latency stream."""
@@ -121,9 +130,6 @@ class TestFaultInjector:
         )
         quiet_draws, noisy_draws = [], []
         for __ in range(30):
-            quiet_draws.append(quiet.leaf_latency_ms(0))
-            try:
-                noisy_draws.append(noisy.leaf_latency_ms(0))
-            except LeafUnavailableError as error:
-                noisy_draws.append(error.after_ms)
+            quiet_draws.append(quiet.plan_rpc(0).latency_ms)
+            noisy_draws.append(noisy.plan_rpc(0).latency_ms)
         assert noisy_draws == pytest.approx(quiet_draws)

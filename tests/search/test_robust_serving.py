@@ -9,7 +9,7 @@ from repro.errors import (
 )
 from repro.search.cluster import SearchCluster
 from repro.search.documents import Corpus, CorpusConfig
-from repro.search.faults import FaultInjector, FaultSpec
+from repro.search.faults import FaultInjector, FaultSpec, RpcDraw
 from repro.search.frontend import FrontendServer, ResultCache
 from repro.search.indexer import InvertedIndexBuilder
 from repro.search.latency import LatencyAccumulator, QueryLatencyModel
@@ -43,22 +43,20 @@ class ScriptedInjector(FaultInjector):
         super().__init__(FaultSpec(), seed=0)
         self.script = {k: list(v) for k, v in script.items()}
 
-    def leaf_latency_ms(self, leaf_id, query_key=None, attempt=1):
+    def plan_rpc(self, leaf_id, query_key=None, attempt=1):
         self._calls.inc()
-        from repro.errors import LeafUnavailableError
-
         if self.is_dead(leaf_id):
-            raise LeafUnavailableError(leaf_id, transient=False, after_ms=0.5)
+            return RpcDraw(kind="dead", latency_ms=0.5)
         queue = self.script.get(leaf_id)
         if not queue:
-            return 1.0
+            return RpcDraw(kind="ok", latency_ms=1.0)
         outcome = queue.pop(0)
         if outcome == "transient":
-            raise LeafUnavailableError(leaf_id, transient=True, after_ms=1.0)
+            return RpcDraw(kind="transient", latency_ms=1.0)
         if outcome == "hard":
             self.died_at_ms[leaf_id] = self.clock.now_ms
-            raise LeafUnavailableError(leaf_id, transient=False, after_ms=0.5)
-        return float(outcome)
+            return RpcDraw(kind="hard", latency_ms=0.5)
+        return RpcDraw(kind="ok", latency_ms=float(outcome))
 
 
 class TestPolicies:

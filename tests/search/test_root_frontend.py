@@ -7,8 +7,9 @@ from repro.search.cluster import SearchCluster
 from repro.search.documents import Corpus, CorpusConfig
 from repro.search.frontend import FrontendServer, ResultCache
 from repro.search.indexer import InvertedIndexBuilder
+from repro.search.engine import _merge_hits
 from repro.search.leaf import LeafServer, SearchHit
-from repro.search.root import RootServer, SearchResultPage, _merge_hits
+from repro.search.root import RootServer, SearchResultPage
 
 
 @pytest.fixture(scope="module")
