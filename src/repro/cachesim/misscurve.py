@@ -65,10 +65,12 @@ class MissRatioCurve:
     """
 
     def __init__(self, lines: np.ndarray) -> None:
+        lines = np.asarray(lines)
+        if lines.ndim != 1:
+            raise TraceError(f"lines must be 1-D, got shape {lines.shape}")
         n = len(lines)
         if n == 0:
             raise TraceError("cannot build a miss-ratio curve from an empty stream")
-        lines = np.asarray(lines)
 
         # Group each line's accesses (stable sort keeps program order within
         # a group): adjacent entries of a group are consecutive touches.
@@ -147,10 +149,11 @@ class MissRatioCurve:
         Used by stream composition to build each level's miss-stream curve
         in O(n) instead of O(n log n).
         """
-        mask = np.asarray(mask, bool)
-        if len(mask) != self._n:
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.ndim != 1 or len(mask) != self._n:
             raise TraceError(
-                f"mask length {len(mask)} does not match stream length {self._n}"
+                f"mask must be a bool array of shape ({self._n},), "
+                f"got {mask.dtype} {mask.shape}"
             )
         n = int(np.count_nonzero(mask))
         if n == 0:

@@ -85,6 +85,8 @@ class RunPreset:
         for name in ("code_events", "heap_events", "shard_events", "stack_events"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def quick(cls) -> "RunPreset":

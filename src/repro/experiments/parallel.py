@@ -84,13 +84,30 @@ def _activate_worker_cache(cache_dir: str | None) -> None:
         cache_mod.activate(cache_mod.ArtifactCache(cache_dir))
 
 
-def _module_by_id(experiment_id: str):
-    from repro.experiments import runner
+def _fallback_metrics(result: ExperimentResult, preset: RunPreset) -> None:
+    """Attach a minimal run-shape snapshot to an uninstrumented result.
 
-    for module in runner.ALL_MODULES:
-        if module.EXPERIMENT_ID == experiment_id:
-            return module
-    raise ConfigurationError(f"unknown experiment id {experiment_id!r}")
+    Every experiment emitted via ``--metrics-out`` carries *some*
+    snapshot; experiments that drive instrumented components (the
+    serving tree, the composed hierarchy) attach richer ones themselves.
+    """
+    registry = MetricsRegistry()
+    registry.gauge(
+        "repro.experiments.rows",
+        help="Result rows the experiment produced.",
+        unit="rows",
+    ).set(len(result.rows))
+    registry.gauge(
+        "repro.experiments.notes",
+        help="Free-form notes attached to the result.",
+        unit="notes",
+    ).set(len(result.notes))
+    registry.gauge(
+        "repro.experiments.preset_scale",
+        help="Scale divisor of the preset the experiment ran under.",
+        unit="fraction",
+    ).set(preset.scale)
+    result.attach_metrics(registry)
 
 
 def _run_task(
@@ -104,10 +121,10 @@ def _run_task(
     merged).
     """
     from repro.cachesim import fastsim
-    from repro.experiments.runner import _fallback_metrics
+    from repro.experiments.runner import select_modules
     from repro.memtrace import cache as cache_mod
 
-    module = _module_by_id(experiment_id)
+    (module,) = select_modules([experiment_id])
     cache = cache_mod.active_cache()
     cache_before = (
         cache.metrics.snapshot("repro.cache") if cache is not None else None

@@ -38,7 +38,7 @@ from repro.experiments import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult, RunPreset
-from repro.obs.metrics import MetricsRegistry
+from repro.experiments.parallel import run_report
 
 ALL_MODULES = (
     table1,
@@ -64,32 +64,6 @@ ALL_MODULES = (
     ablations,
     dse,
 )
-
-
-def _fallback_metrics(result: ExperimentResult, preset: RunPreset) -> None:
-    """Attach a minimal run-shape snapshot to an uninstrumented result.
-
-    Every experiment emitted via ``--metrics-out`` carries *some*
-    snapshot; experiments that drive instrumented components (the
-    serving tree, the composed hierarchy) attach richer ones themselves.
-    """
-    registry = MetricsRegistry()
-    registry.gauge(
-        "repro.experiments.rows",
-        help="Result rows the experiment produced.",
-        unit="rows",
-    ).set(len(result.rows))
-    registry.gauge(
-        "repro.experiments.notes",
-        help="Free-form notes attached to the result.",
-        unit="notes",
-    ).set(len(result.notes))
-    registry.gauge(
-        "repro.experiments.preset_scale",
-        help="Scale divisor of the preset the experiment ran under.",
-        unit="fraction",
-    ).set(preset.scale)
-    result.attach_metrics(registry)
 
 
 def select_modules(only: list[str] | None = None) -> list[ModuleType]:
@@ -121,20 +95,14 @@ def run_all(
 ) -> list[ExperimentResult]:
     """Run the selected experiments (all by default), serially.
 
-    Every returned result carries a metrics snapshot: the experiment's
-    own when it attached one, else a minimal run-shape fallback.
-    Unknown ids in ``only`` raise :class:`ConfigurationError` (they used
-    to be silently dropped, returning a partial list).  For multi-process
-    campaigns and trace caching see :mod:`repro.experiments.parallel`.
+    The serial path of :func:`~repro.experiments.parallel.run_report`:
+    every returned result carries a metrics snapshot (the experiment's
+    own when it attached one, else a minimal run-shape fallback), and
+    unknown ids in ``only`` raise :class:`ConfigurationError`.  For
+    multi-process campaigns and trace caching see
+    :mod:`repro.experiments.parallel`.
     """
-    preset = preset or RunPreset.quick()
-    results = []
-    for module in select_modules(only):
-        result = module.run(preset)
-        if result.metrics is None:
-            _fallback_metrics(result, preset)
-        results.append(result)
-    return results
+    return run_report(preset, only=only).results
 
 
 def write_metrics(results: list[ExperimentResult], path: str) -> None:
@@ -224,8 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     preset = RunPreset.standard() if args.standard else RunPreset.quick()
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-
-    from repro.experiments.parallel import run_report
 
     selected = list(args.ids) + list(args.only)
     start = time.time()

@@ -13,7 +13,6 @@ from repro._units import KiB
 from repro.cachesim.indexing import stable_group_order
 from repro.errors import TraceError
 from repro.memtrace.trace import Segment, Trace
-from repro.obs.metrics import MetricsRegistry
 
 
 def unique_lines(trace: Trace, block_size: int = 64) -> int:
@@ -88,43 +87,6 @@ def cold_fraction(trace: Trace, block_size: int = 64) -> float:
         raise TraceError("cold_fraction of an empty trace is undefined")
     __, is_cold = reuse_times(trace.lines(block_size))
     return float(np.count_nonzero(is_cold)) / len(trace)
-
-
-def record_trace_metrics(
-    trace: Trace,
-    registry: MetricsRegistry,
-    block_size: int = 64,
-    page_size: int = 4 * KiB,
-) -> None:
-    """Publish a trace's footprint statistics as ``repro.mem.*`` gauges.
-
-    Sets ``repro.mem.working_set_bytes`` (with per-segment labeled
-    children), ``repro.mem.footprint_bytes``, and
-    ``repro.mem.trace_accesses`` from the trace's current contents;
-    repeated calls overwrite — gauges describe the latest trace, they do
-    not accumulate.
-
-    Units: ``block_size`` and ``page_size`` are bytes (cache-line and
-    page granularity respectively); published gauge values are bytes.
-    """
-    working_set = registry.gauge(
-        "repro.mem.working_set_bytes",
-        help="Accessed working set of the latest leaf trace (Figure 5 metric).",
-        unit="bytes",
-    )
-    working_set.set(working_set_bytes(trace, block_size))
-    for segment, size in segment_working_sets(trace, block_size).items():
-        working_set.labels(segment=segment.name.lower()).set(size)
-    registry.gauge(
-        "repro.mem.footprint_bytes",
-        help="Touched pages of the latest leaf trace (Figure 4 proxy).",
-        unit="bytes",
-    ).set(footprint_bytes(trace, page_size))
-    registry.gauge(
-        "repro.mem.trace_accesses",
-        help="Accesses in the latest assembled leaf trace.",
-        unit="accesses",
-    ).set(len(trace))
 
 
 def working_set_scaling(

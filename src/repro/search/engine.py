@@ -56,6 +56,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 from repro.errors import ConfigurationError
@@ -147,6 +148,21 @@ def _merge_hits(hits: Iterable[SearchHit], top_k: int) -> list[SearchHit]:
             best[hit.doc_id] = hit
     merged = sorted(best.values(), key=lambda h: (-h.score, h.doc_id))
     return merged[:top_k]
+
+
+class LeafSet(tuple):
+    """Leaf servers in index order; the doc → owners map is built once,
+    so every engine over a kept ``LeafSet`` (``RootServer``'s) shares it.
+    """
+
+    @cached_property
+    def owners(self) -> dict[int, tuple[int, ...]]:
+        """Indices of the leaves whose shards hold each document."""
+        owners: dict[int, tuple[int, ...]] = {}
+        for leaf_index, leaf in enumerate(self):
+            for doc in leaf.shard.doc_ids.tolist():
+                owners[doc] = owners.get(doc, ()) + (leaf_index,)
+        return owners
 
 
 def _tree_levels(tree: LeafTree, num_leaves: int) -> int:
@@ -499,7 +515,9 @@ class ServingEngine:
     ) -> None:
         if leaves is None and num_leaves is None:
             raise ConfigurationError("need leaves or num_leaves")
-        self.leaves = list(leaves) if leaves is not None else None
+        self.leaves = (
+            leaves if leaves is None or isinstance(leaves, LeafSet) else LeafSet(leaves)
+        )
         self.num_leaves = (
             len(self.leaves) if self.leaves is not None else int(num_leaves)  # type: ignore[arg-type]
         )
@@ -859,14 +877,12 @@ class ServingEngine:
         )
         if self.score_content and merged:
             assert self.leaves is not None
-            owner_of = {
-                int(doc): self.leaves[leaf_index]
-                for leaf_index, hits in enumerate(query.leaf_hits)
-                if hits is not None
-                for doc in self.leaves[leaf_index].shard.doc_ids.tolist()
-            }
+            answered = [hits is not None for hits in query.leaf_hits]
+            # The snippet comes from the last owner that answered.
             snippets = tuple(
-                owner_of[hit.doc_id].snippet(hit.doc_id, query.terms)
+                self.leaves[
+                    max(i for i in self.leaves.owners[hit.doc_id] if answered[i])
+                ].snippet(hit.doc_id, query.terms)
                 for hit in merged
             )
         else:

@@ -58,12 +58,12 @@ class Utilization(float):
 def _check_utilization(utilization: float) -> None:
     """Reject ρ outside [0, 1) for the closed-form helpers.
 
-    Negative utilization is a configuration mistake; ρ >= 1 is the
-    *saturated regime* and raises the dedicated
+    Negative or NaN utilization is a configuration mistake; ρ >= 1
+    (``inf`` included) is the *saturated regime* and raises the dedicated
     :class:`~repro.errors.SaturatedQueueError` (carrying ρ) so callers
     can distinguish "no stationary tail exists" from "bad argument".
     """
-    if utilization < 0:
+    if not utilization >= 0:
         raise ConfigurationError(
             f"utilization must be >= 0, got {utilization}"
         )
@@ -171,8 +171,8 @@ class QueryLatencyModel:
         no exception.  Only the closed-form quantile helpers refuse a
         saturated ρ (:class:`~repro.errors.SaturatedQueueError`).
         """
-        if offered_load < 0:
-            raise ConfigurationError("offered_load must be >= 0")
+        if not offered_load >= 0:
+            raise ConfigurationError(f"offered_load must be >= 0, got {offered_load}")
         return Utilization(offered_load / relative_throughput)
 
     def tail_within_slo(

@@ -39,6 +39,7 @@ from repro.errors import ConfigurationError, DeadlineExceededError, ServingError
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import SpanContext, Tracer
 from repro.search.engine import (
+    LeafSet,
     LeafTree,
     QueueConfig,
     SearchResultPage,
@@ -106,13 +107,16 @@ class RootServer:
         for counter in fanout.values():
             self._engine_metrics.register(counter)
         self._deadline_misses = fanout["deadline_misses"]
+        # Children are fixed from here on: every query's engine shares
+        # this layout, and with it the leaf set's doc → owners map.
+        self._layout = self.layout()
 
     @property
     def queries_served(self) -> int:
         """Queries this aggregator has served (registry-backed)."""
         return self._queries.value
 
-    def layout(self) -> tuple[list[LeafServer], LeafTree]:
+    def layout(self) -> tuple[LeafSet, LeafTree]:
         """The subtree's leaves (depth first) and their index tree.
 
         The tree nests leaf indices one level per aggregator, the shape
@@ -130,7 +134,8 @@ class RootServer:
                     nested.append(shape(child))
             return tuple(nested)
 
-        return leaves, shape(self)
+        tree = shape(self)
+        return LeafSet(leaves), tree
 
     def search(
         self,
@@ -172,7 +177,7 @@ class RootServer:
             )
         self._queries.inc()
         ideal = injector is None
-        leaves, tree = self.layout()
+        leaves, tree = self._layout
         engine = ServingEngine(
             leaves=leaves,
             injector=_IDEAL_INJECTOR if ideal else injector,

@@ -253,6 +253,12 @@ class TestFilteredCurve:
         with pytest.raises(TraceError):
             curve.filtered(np.zeros(10, bool))
 
+    def test_filtered_rejects_non_bool_mask(self):
+        """Regression: an int mask was silently cast to bool."""
+        curve = MissRatioCurve(np.arange(10, dtype=np.int64))
+        with pytest.raises(TraceError, match="bool"):
+            curve.filtered(np.array([1, 0] * 5))
+
 
 class TestTlbEngines:
     """The vectorized TLB is a stack-distance corollary of the caches'."""

@@ -73,6 +73,11 @@ class TestHitRates:
         with pytest.raises(TraceError):
             MissRatioCurve(np.empty(0, np.int64))
 
+    def test_two_dimensional_stream_rejected(self):
+        """Regression: a 2-D array crashed in a numpy broadcast."""
+        with pytest.raises(TraceError, match="1-D"):
+            MissRatioCurve(np.arange(12).reshape(3, 4))
+
     def test_capacity_above_footprint_hits_all_reuses(self):
         lines = np.array([1, 2, 1, 2, 1, 2])
         curve = MissRatioCurve(lines)

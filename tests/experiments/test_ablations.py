@@ -2,22 +2,12 @@
 
 import pytest
 
-from repro.experiments import RunPreset, ablations
-
 
 @pytest.fixture(scope="module")
-def result():
-    preset = RunPreset(
-        name="test",
-        scale=1 / 64,
-        code_events=200_000,
-        heap_events=900_000,
-        shard_events=500_000,
-        stack_events=50_000,
-        threads=8,
-        seed=13,
-    )
-    return ablations.run(preset)
+def result(campaign):
+    # The session's shared tiny-preset run; the ablations table is the
+    # same at any ``branch_instructions``.
+    return campaign.results["ablations"]
 
 
 def by_series(result, name):

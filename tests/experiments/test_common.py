@@ -41,6 +41,11 @@ class TestRunPreset:
         with pytest.raises(ConfigurationError):
             RunPreset("x", scale=0.5, code_events=0, heap_events=1, shard_events=1, stack_events=1)
 
+    def test_negative_seed_rejected(self):
+        """Regression: a negative seed failed later, inside numpy."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            dataclasses.replace(RunPreset.quick(), seed=-1)
+
 
 class TestPlatformHierarchy:
     def test_plt1_scaled(self):

@@ -1,49 +1,15 @@
 """Integration tests: every experiment runs and satisfies the paper's
-shape claims at the quick preset."""
+shape claims at the tiny preset.
+
+The preset-dependent experiments are read from the session's shared
+``campaign`` run (``tests/conftest.py``); the preset-free ones run
+directly.
+"""
 
 import pytest
 
-from repro.experiments import RunPreset
-from repro.experiments import (
-    adaptive,
-    discussion,
-    fig12,
-    fig2,
-    hurryup,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig13,
-    fig14,
-    power,
-    slo,
-    table1,
-    table2,
-)
+from repro.experiments import fig4, fig8, fig9, fig10, fig11, fig12, table2
 from repro.experiments.common import ExperimentResult
-
-
-
-@pytest.fixture(scope="module")
-def preset():
-    # Smaller than RunPreset.quick() to keep the suite fast.
-    return RunPreset(
-        name="test",
-        scale=1 / 64,
-        code_events=200_000,
-        heap_events=900_000,
-        shard_events=500_000,
-        stack_events=50_000,
-        threads=8,
-        branch_instructions=400_000,
-        seed=13,
-    )
 
 
 class TestExperimentResult:
@@ -63,8 +29,8 @@ class TestExperimentResult:
 
 
 class TestTable1(object):
-    def test_search_contrasts_with_benchmarks(self, preset):
-        result = table1.run(preset)
+    def test_search_contrasts_with_benchmarks(self, campaign):
+        result = campaign.results["table1"]
         rows = {r["workload"]: r for r in result.rows}
         # The paper's three headline contrasts:
         assert rows["s1-leaf"]["l2_instr_mpki"] > 3 * rows["spec-gobmk"]["l2_instr_mpki"] / 3.0
@@ -88,8 +54,8 @@ class TestTable2:
 
 
 class TestFig2:
-    def test_all_panels(self, preset):
-        result = fig2.run(preset)
+    def test_all_panels(self, campaign):
+        result = campaign.results["fig2"]
         by_series = {}
         for row in result.rows:
             by_series.setdefault(row["series"], []).append(row)
@@ -105,8 +71,8 @@ class TestFig2:
 
 
 class TestFig3:
-    def test_shares_near_paper(self, preset):
-        result = fig3.run(preset)
+    def test_shares_near_paper(self, campaign):
+        result = campaign.results["fig3"]
         shares = {r["category"]: r["modeled_pct"] for r in result.rows}
         assert shares["retiring"] == pytest.approx(32, abs=6)
         assert shares["backend_memory"] == pytest.approx(20.5, abs=6)
@@ -126,8 +92,8 @@ class TestFig4:
 
 
 class TestFig5:
-    def test_heap_grows_slower_than_shard(self, preset):
-        result = fig5.run(preset)
+    def test_heap_grows_slower_than_shard(self, campaign):
+        result = campaign.results["fig5"]
         rows = result.rows
         heap_growth = rows[-1]["heap_gib"] / rows[0]["heap_gib"]
         shard_growth = rows[-1]["shard_gib"] / rows[0]["shard_gib"]
@@ -135,8 +101,8 @@ class TestFig5:
 
 
 class TestFig6:
-    def test_shapes(self, preset):
-        result = fig6.run(preset)
+    def test_shapes(self, campaign):
+        result = campaign.results["fig6"]
         hit_rows = [r for r in result.rows if r["series"] == "fig6b-hit-rate"]
         by_capacity = {r["x"]: r for r in hit_rows}
         # Code saturates by 16 MiB.
@@ -151,8 +117,8 @@ class TestFig6:
 
 
 class TestFig7:
-    def test_conflicts_minor_beyond_l1(self, preset):
-        result = fig7.run(preset)
+    def test_conflicts_minor_beyond_l1(self, campaign):
+        result = campaign.results["fig7"]
         assoc = {
             r["x"]: r["mpki_decrease_pct"]
             for r in result.rows
@@ -161,13 +127,13 @@ class TestFig7:
         assert assoc["L3"] < 6.0
         assert assoc["L2"] < 8.0
 
-    def test_block_sweep_present(self, preset):
-        result = fig7.run(preset)
+    def test_block_sweep_present(self, campaign):
+        result = campaign.results["fig7"]
         blocks = [r for r in result.rows if r["series"] == "fig7b-block-size"]
         assert len(blocks) == 6
 
-    def test_miss_types(self, preset):
-        result = fig7.run(preset)
+    def test_miss_types(self, campaign):
+        result = campaign.results["fig7"]
         types = {
             r["x"]: r for r in result.rows if r["series"] == "miss-types-l3"
         }
@@ -227,8 +193,8 @@ class TestFig12:
 
 
 class TestFig13:
-    def test_l4_sweep(self, preset):
-        result = fig13.run(preset)
+    def test_l4_sweep(self, campaign):
+        result = campaign.results["fig13"]
         rows = {r["l4_mib"]: r for r in result.rows}
         assert rows[1024]["hit_rate"] > rows[64]["hit_rate"]
         assert 0.25 < rows[1024]["hit_rate"] < 0.75  # paper: ~50%
@@ -236,8 +202,8 @@ class TestFig13:
 
 
 class TestFig14:
-    def test_headline_improvements(self, preset):
-        result = fig14.run(preset)
+    def test_headline_improvements(self, campaign):
+        result = campaign.results["fig14"]
         rows = {(r["scenario"], r["l4_mib"]): r for r in result.rows}
         base = rows[("baseline", 1024)]
         assert base["combined_pct"] == pytest.approx(27, abs=5)
@@ -248,16 +214,16 @@ class TestFig14:
 
 
 class TestPower:
-    def test_anchors(self, preset):
-        result = power.run(preset)
+    def test_anchors(self, campaign):
+        result = campaign.results["power"]
         metrics = {r["metric"]: r["value"] for r in result.rows}
         assert metrics["socket power increase (23 cores)"] == "+18.9%"
         assert "23" in metrics["iso-power area saving (18c @ 1 MiB/core)"]
 
 
 class TestDiscussion:
-    def test_all_studies_run(self, preset):
-        result = discussion.run(preset)
+    def test_all_studies_run(self, campaign):
+        result = campaign.results["discussion"]
         by_series = {}
         for row in result.rows:
             by_series.setdefault(row["series"], []).append(row)
@@ -287,8 +253,8 @@ class TestDiscussion:
 
 
 class TestSlo:
-    def test_serving_robustness_shape(self, preset):
-        result = slo.run(preset)
+    def test_serving_robustness_shape(self, campaign):
+        result = campaign.results["slo"]
         by_series = {}
         for row in result.rows:
             by_series.setdefault(row["series"], []).append(row)
@@ -325,8 +291,8 @@ class TestSlo:
 
 
 class TestHurryup:
-    def test_event_driven_serving_shape(self, preset):
-        result = hurryup.run(preset)
+    def test_event_driven_serving_shape(self, campaign):
+        result = campaign.results["hurryup"]
         by_series = {}
         for row in result.rows:
             by_series.setdefault(row["series"], []).append(row)
@@ -362,8 +328,8 @@ class TestHurryup:
 
 
 class TestAdaptive:
-    def test_estimator_accuracy_and_control_convergence(self, preset):
-        result = adaptive.run(preset)
+    def test_estimator_accuracy_and_control_convergence(self, campaign):
+        result = campaign.results["adaptive"]
         by_series = {}
         for row in result.rows:
             by_series.setdefault(row["series"], []).append(row)

@@ -4,15 +4,15 @@ The acceptance bar for the instrumentation is *reconciliation*: the
 registry's counters must agree exactly with what the serving tree
 returned (pages served, cache misses x leaves fanned out to), and the
 cumulative counters must survive trace drains.  Runner-level coverage
-lives here too: every experiment emitted by ``run_all`` carries a
-metrics snapshot.
+lives here too: every experiment of the session's shared campaign run
+carries a metrics snapshot.
 """
 
 import json
 
 import pytest
 
-from repro.experiments import RunPreset, runner
+from repro.experiments import runner
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.search.cluster import SearchCluster
@@ -142,20 +142,9 @@ class TestTracedServing:
 
 class TestRunnerEmitsMetrics:
     @pytest.fixture(scope="class")
-    def results(self):
-        # The same tiny preset the experiment shape-tests use.
-        preset = RunPreset(
-            name="test",
-            scale=1 / 64,
-            code_events=200_000,
-            heap_events=900_000,
-            shard_events=500_000,
-            stack_events=50_000,
-            threads=8,
-            branch_instructions=400_000,
-            seed=13,
-        )
-        return runner.run_all(preset=preset)
+    def results(self, campaign):
+        # The session's shared tiny-preset run, in canonical order.
+        return list(campaign.results.values())
 
     def test_every_experiment_emits_a_snapshot(self, results):
         assert len(results) == len(runner.ALL_MODULES)

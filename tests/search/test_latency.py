@@ -73,6 +73,15 @@ class TestQueueing:
         with pytest.raises(ConfigurationError):
             model.service_ms(0.0)
 
+    def test_nan_utilization_rejected(self, model):
+        """Regression: NaN passed the check and the quantile was NaN."""
+        with pytest.raises(ConfigurationError):
+            model.leaf_quantile_ms(0.99, float("nan"))
+        with pytest.raises(ConfigurationError):
+            model.utilization_for_load(float("nan"))
+        with pytest.raises(SaturatedQueueError):
+            model.leaf_quantile_ms(0.99, float("inf"))
+
 
 class TestSampling:
     def test_sample_mean_matches_sojourn(self, model):
