@@ -69,6 +69,20 @@ class SegmentRates:
         }[segment]
 
 
+def _release_unshared(
+    caches: tuple[CompositeCache, ...], kept: list[StreamComponent]
+) -> None:
+    """Release the per-access arrays of the caches' curves, except those
+    the ``kept`` components share: a stream whose every access misses
+    hands its own curve to the next level."""
+    shared = {id(component.curve) for component in kept}
+    for cache in caches:
+        for component in cache.components.values():
+            if id(component.curve) not in shared:
+                assert component.curve is not None
+                component.curve.release_positions()
+
+
 class ComposedHierarchy:
     """Drives per-segment line streams through a composed hierarchy.
 
@@ -89,6 +103,13 @@ class ComposedHierarchy:
     of rebuilt, L3 re-solves are memoized per capacity so capacity
     sweeps batch through :meth:`solve_l3_sweep`, and L4 demand streams
     are memoized per (L3 capacity, seed) — see :meth:`l4_demand`.
+
+    Once a level's miss-stream curves are derived, the L1 and L2 curves
+    drop their per-access arrays
+    (:meth:`~repro.cachesim.misscurve.MissRatioCurve.release_positions`):
+    their hit rates, MPKIs and re-solves read only histograms, so the
+    ``l1i``, ``l1d`` and ``l2`` caches answer everything but hit masks
+    and miss streams.  Curves the L3 shares keep everything.
     """
 
     def __init__(
@@ -157,6 +178,7 @@ class ComposedHierarchy:
         ]
         if not l2_components:
             raise ConfigurationError("nothing missed the L1s; enlarge the streams")
+        _release_unshared((self.l1i, self.l1d), l2_components)
         self.l2 = CompositeCache(l2_components, config.l2.geometry.capacity_lines)
 
         # ---- L3 inputs: all threads' L2 misses ----------------------------
@@ -180,6 +202,7 @@ class ComposedHierarchy:
             self._l3_inputs.append(miss)
         if not self._l3_inputs:
             raise ConfigurationError("nothing missed the L2; enlarge the streams")
+        _release_unshared((self.l2,), self._l3_inputs)
 
         self.l3 = (
             CompositeCache(self._l3_inputs, config.l3.geometry.capacity_lines)

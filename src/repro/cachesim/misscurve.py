@@ -28,7 +28,10 @@ counts read the same kind of histogram of the reuse times.
 
 Storage is O(distinct gap and reuse values) plus three position arrays per
 access (the stable sort, its line-group ids and each access's reuse time),
-int32 whenever the stream is shorter than 2**31.
+int32 whenever the stream is shorter than 2**31.  Only :meth:`filtered` and
+the hit masks read the position arrays; a curve whose derived curves are
+built drops them with :meth:`~MissRatioCurve.release_positions` and keeps
+answering footprints, windows and hit rates from its histograms.
 
 Fully-associative LRU is the right model for the swept levels: the paper
 measures conflict misses beyond L1 at under 1% (Figure 7a).  Tests validate
@@ -40,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cachesim.indexing import stable_group_order
-from repro.errors import TraceError
+from repro.errors import SimulationError, TraceError
 
 
 def _position_dtype(n: int) -> type[np.signedinteger]:
@@ -149,6 +152,7 @@ class MissRatioCurve:
         Used by stream composition to build each level's miss-stream curve
         in O(n) instead of O(n log n).
         """
+        self._require_positions("filtered")
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.ndim != 1 or len(mask) != self._n:
             raise TraceError(
@@ -167,6 +171,23 @@ class MissRatioCurve:
         out = MissRatioCurve.__new__(MissRatioCurve)
         out._init_from_order(n, new_index[self._order[keep]], self._group[keep])
         return out
+
+    def release_positions(self) -> None:
+        """Drop the per-access arrays; keep the histograms.
+
+        Afterwards the curve still answers footprints, windows, hit
+        rates and miss counts, but :meth:`filtered`, :meth:`hit_mask`
+        and the other masks raise :class:`~repro.errors.SimulationError`.
+        A composed hierarchy calls this on the L1 and L2 curves once the
+        next level's curves are derived from them.
+        """
+        self._order = self._group = self._reuse = None
+
+    def _require_positions(self, operation: str) -> None:
+        if self._reuse is None:
+            raise SimulationError(
+                f"{operation} needs the per-access arrays this curve released"
+            )
 
     # ------------------------------------------------------------------
     # Core curve functions
@@ -313,6 +334,7 @@ class MissRatioCurve:
         and converts it to each stream's own access count; this applies such
         a window directly.
         """
+        self._require_positions("hit_mask_for_window")
         return (self._reuse > 0) & (self._reuse <= window)
 
     def _hits_within(self, windows: float | np.ndarray) -> np.ndarray:

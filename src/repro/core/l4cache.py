@@ -133,18 +133,33 @@ class L4Cache:
     def __init__(self, config: L4Config) -> None:
         self.config = config
 
-    def simulate(self, lines: np.ndarray, segments: np.ndarray) -> L4Result:
+    def simulate(
+        self,
+        lines: np.ndarray,
+        segments: np.ndarray,
+        curve: MissRatioCurve | None = None,
+    ) -> L4Result:
         """Simulate the stream; return per-segment hit statistics.
 
         ``lines`` are L3-block-granularity line addresses of L3 misses in
         program order; ``segments`` the matching software segments
         (:class:`~repro.memtrace.trace.Segment` codes).  The per-segment
         dicts hold only segments that occur in the stream.
+
+        A fully-associative L4 reads its hits from the LRU curve of
+        ``lines``.  One curve serves every capacity, so a caller that
+        sweeps capacities over one stream passes it as ``curve`` instead
+        of having it rebuilt per call.
         """
         if len(lines) == 0:
             raise ConfigurationError("cannot simulate an empty L4 stream")
         if len(lines) != len(segments):
             raise ConfigurationError("lines and segments must align")
+        if curve is not None and curve.num_accesses != len(lines):
+            raise ConfigurationError(
+                f"curve covers {curve.num_accesses} accesses, the stream "
+                f"{len(lines)}"
+            )
         codes = np.asarray(segments)
         if codes.dtype.kind not in "iu":
             raise ConfigurationError(
@@ -158,7 +173,8 @@ class L4Cache:
         if self.config.associativity == "direct":
             hits = simulate_direct_mapped(lines, self.config.capacity_lines)
         else:
-            curve = MissRatioCurve(lines)
+            if curve is None:
+                curve = MissRatioCurve(lines)
             hits = curve.hit_mask(self.config.capacity_lines)
 
         # One count over (segment, hit) pairs: row s holds segment s's

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro._units import MiB, format_size
 from repro.cachesim.hierarchy import AnalyticHierarchyResult
+from repro.cachesim.misscurve import MissRatioCurve
 from repro.core.area import AreaModel
 from repro.core.l4cache import L4Cache, L4Config
 from repro.core.perf_model import MemoryLatencies, SearchPerfModel
@@ -174,6 +175,9 @@ class HierarchyDesignEvaluator:
         self.design_cores = design_cores
         self.design_l3_mib = design_l3_mib
         self._l4_cache: dict[tuple, float] = {}
+        #: LRU curves of the L4 demand streams, keyed on the scaled L3
+        #: capacity: every fully-associative L4 capacity reads one.
+        self._l4_curves: dict[int, MissRatioCurve] = {}
 
     # ------------------------------------------------------------------
 
@@ -193,9 +197,8 @@ class HierarchyDesignEvaluator:
         key = (scenario.l4_associativity, l4_capacity)
         if key in self._l4_cache:
             return self._l4_cache[key]
-        lines, segments = self.source.l4_demand(
-            self._scaled_bytes(self.design_l3_mib * MiB)
-        )
+        l3_bytes = self._scaled_bytes(self.design_l3_mib * MiB)
+        lines, segments = self.source.l4_demand(l3_bytes)
         config = L4Config(
             capacity=self._scaled_bytes(l4_capacity),
             block_size=self.source.block_size,
@@ -203,7 +206,12 @@ class HierarchyDesignEvaluator:
             miss_penalty_ns=scenario.latencies.l4_miss_penalty_ns,
             associativity=scenario.l4_associativity,
         )
-        hit = L4Cache(config).simulate(lines, segments).hit_rate
+        curve = None
+        if config.associativity == "full":
+            curve = self._l4_curves.get(l3_bytes)
+            if curve is None:
+                curve = self._l4_curves[l3_bytes] = MissRatioCurve(lines)
+        hit = L4Cache(config).simulate(lines, segments, curve=curve).hit_rate
         self._l4_cache[key] = hit
         return hit
 

@@ -1,11 +1,15 @@
 """Tests for the composed multi-level hierarchy engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro._units import MiB
 from repro.cachesim.composed import ComposedHierarchy, SegmentRates
-from repro.errors import ConfigurationError
+from repro.cachesim.composition import CompositeCache
+from repro.cachesim.misscurve import MissRatioCurve
+from repro.errors import ConfigurationError, SimulationError
 from repro.hw import catalog
 from repro.hw.adapters import hierarchy_config
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
@@ -88,6 +92,61 @@ class TestLevelStructure:
         total = hierarchy.mpki("L3")
         parts = sum(hierarchy.mpki("L3", seg) for seg in Segment)
         assert total == pytest.approx(parts)
+
+
+class TestReleasedCurves:
+    """The L1 and L2 curves drop their per-access arrays once the next
+    level is derived; the curves the L3 shares keep them."""
+
+    @staticmethod
+    def _upstream(hierarchy):
+        return [
+            component
+            for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+            for component in cache.components.values()
+        ]
+
+    def test_unshared_l1_l2_curves_raise_typed_error(self, hierarchy):
+        shared = {id(c.curve) for c in hierarchy.l3.components.values()}
+        released = [
+            c for c in self._upstream(hierarchy) if id(c.curve) not in shared
+        ]
+        assert len(released) >= 5
+        for component in released:
+            mask = np.zeros(len(component.lines), bool)
+            mask[::2] = True
+            with pytest.raises(SimulationError):
+                component.curve.filtered(mask)
+            with pytest.raises(SimulationError):
+                component.curve.hit_mask(64)
+
+    def test_released_hit_rates_unchanged(self, hierarchy):
+        for component in self._upstream(hierarchy):
+            fresh = MissRatioCurve(component.lines)
+            for capacity in (8, 64, 512, 4096):
+                assert component.curve.hit_rate(capacity) == fresh.hit_rate(
+                    capacity
+                )
+        for level, cache in (
+            ("L1I", hierarchy.l1i),
+            ("L1D", hierarchy.l1d),
+            ("L2", hierarchy.l2),
+        ):
+            rebuilt = CompositeCache(
+                [
+                    dataclasses.replace(c, curve=MissRatioCurve(c.lines))
+                    for c in cache.components.values()
+                ],
+                cache.capacity_lines,
+            )
+            for name in cache.components:
+                assert cache.hit_rate(name) == rebuilt.hit_rate(name)
+                assert cache.mpki(name) == rebuilt.mpki(name), level
+
+    def test_l3_inputs_keep_per_access_arrays(self, hierarchy):
+        for name in hierarchy.l3.components:
+            assert hierarchy.l3.miss_component(name) is not None
+            hierarchy.l3_at(MiB).hit_mask(name)
 
 
 class TestPaperShapes:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cachesim.mattson import hit_rate_for_capacities
 from repro.cachesim.misscurve import MissRatioCurve
-from repro.errors import TraceError
+from repro.errors import SimulationError, TraceError
 
 
 def naive_average_footprint(lines, window):
@@ -156,3 +156,34 @@ class TestCompactStorage:
     def test_filter_keeping_everything_is_the_same_curve(self):
         curve = MissRatioCurve(np.array([1, 2, 1, 3]))
         assert curve.filtered(np.ones(4, bool)) is curve
+
+    def test_released_curve_keeps_histogram_answers(self):
+        """A released curve answers rates and windows as before; the
+        per-access operations raise the typed error, not ``TypeError``."""
+        rng = np.random.default_rng(3)
+        lines = rng.zipf(1.3, 20_000) % 3000
+        fresh = MissRatioCurve(lines)
+        released = MissRatioCurve(lines)
+        released.release_positions()
+        capacities = [1, 16, 256, 2048, 10_000]
+        assert released.hit_rates(capacities).tolist() == fresh.hit_rates(
+            capacities
+        ).tolist()
+        for capacity in capacities:
+            assert released.hit_rate(capacity) == fresh.hit_rate(capacity)
+            assert released.miss_count(capacity) == fresh.miss_count(capacity)
+        assert released.hit_rate_for_window(500.0) == fresh.hit_rate_for_window(
+            500.0
+        )
+        assert released.footprint(777) == fresh.footprint(777)
+        mask = np.arange(len(lines)) % 2 == 0
+        with pytest.raises(SimulationError):
+            released.filtered(mask)
+        with pytest.raises(SimulationError):
+            released.filtered(np.ones(len(lines), bool))
+        with pytest.raises(SimulationError):
+            released.hit_mask(256)
+        with pytest.raises(SimulationError):
+            released.miss_mask(256)
+        with pytest.raises(SimulationError):
+            released.hit_mask_for_window(500.0)

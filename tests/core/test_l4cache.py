@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro._units import MiB
+from repro.cachesim.misscurve import MissRatioCurve
 from repro.core.l4cache import L4Cache, L4Config
 from repro.errors import ConfigurationError
 from repro.memtrace.trace import Segment
@@ -109,6 +110,21 @@ class TestSimulation:
         cache = L4Cache(L4Config())
         sweep = cache.capacity_sweep(lines, segments, [MiB, 4 * MiB])
         assert sweep[MiB].hit_rate <= sweep[4 * MiB].hit_rate
+
+    def test_supplied_curve_serves_every_capacity(self):
+        lines, segments = demand_stream(n=5000)
+        curve = MissRatioCurve(lines)
+        for capacity in (MiB // 4, MiB, 4 * MiB):
+            cache = L4Cache(L4Config(capacity=capacity, associativity="full"))
+            assert cache.simulate(lines, segments, curve=curve) == cache.simulate(
+                lines, segments
+            )
+
+    def test_curve_of_another_stream_rejected(self):
+        lines, segments = demand_stream(n=2000)
+        cache = L4Cache(L4Config(capacity=MiB, associativity="full"))
+        with pytest.raises(ConfigurationError, match="curve"):
+            cache.simulate(lines, segments, curve=MissRatioCurve(lines[:-1]))
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -97,6 +97,44 @@ class TestEvaluate:
         rows = evaluator.sweep()
         assert len(rows) == 4 * 5
 
+    def test_associative_grid_builds_one_curve(self, monkeypatch):
+        """Every fully-associative L4 capacity reads one curve of the one
+        demand stream, with the hit rates of a curve built per capacity."""
+        from repro.cachesim.misscurve import MissRatioCurve
+        from repro.core import optimizer
+        from repro.core.l4cache import L4Cache, L4Config
+
+        source = FakeStreamSource()
+        fresh = HierarchyDesignEvaluator(
+            stream_source=source,
+            scale=1 / 512,
+            l3_hit_fn=LogLinearHitCurve.fig10_effective(),
+            **MODELS,
+        )
+        builds = []
+
+        class CountingCurve(MissRatioCurve):
+            def __init__(self, lines):
+                builds.append(len(lines))
+                super().__init__(lines)
+
+        monkeypatch.setattr(optimizer, "MissRatioCurve", CountingCurve)
+        capacities = [size * MiB for size in (128, 256, 512, 1024, 2048)]
+        rows = fresh.sweep([SensitivityScenario.associative()], capacities)
+        assert len(builds) == 1
+        monkeypatch.undo()
+
+        lines, segments = source.l4_demand(
+            fresh._scaled_bytes(fresh.design_l3_mib * MiB)
+        )
+        for row, capacity in zip(rows, capacities):
+            config = L4Config(
+                capacity=fresh._scaled_bytes(capacity), associativity="full"
+            )
+            assert row.l4_hit_rate == L4Cache(config).simulate(
+                lines, segments
+            ).hit_rate
+
     def test_scale_validated(self):
         with pytest.raises(ConfigurationError):
             HierarchyDesignEvaluator(

@@ -4,6 +4,7 @@ import pytest
 
 import dataclasses
 import pickle
+import threading
 
 from repro.errors import ConfigurationError
 from repro.experiments import table1
@@ -14,6 +15,7 @@ from repro.experiments.common import (
     discard_run,
     platform_hierarchy,
 )
+from repro.workloads.profiles import all_profiles
 
 
 def tiny_preset(seed=99):
@@ -109,6 +111,55 @@ class TestRunCache:
         a = composed_run("s1-leaf", preset, threads=1)
         b = composed_run("s1-leaf", preset, threads=2)
         assert a is not b
+
+
+class TestTable1Pool:
+    def test_rows_in_canonical_order_when_pool_finishes_reversed(
+        self, monkeypatch
+    ):
+        """Each pair of profiles finishes in reverse; rows keep
+        ``all_profiles()`` order, at most two profiles are in flight and
+        the two shared runs are measured last."""
+        canonical = [p.name for p in all_profiles()]
+        shared = {"s1-leaf", "s1-leaf-plt1"}
+        schedule = [n for n in canonical if n not in shared] + [
+            n for n in canonical if n in shared
+        ]
+        done = {name: threading.Event() for name in canonical}
+        lock = threading.Lock()
+        started, finished, waits = [], [], []
+        in_flight = {"now": 0, "max": 0}
+
+        def fake_measure(profile, preset):
+            with lock:
+                started.append(profile.name)
+                in_flight["now"] += 1
+                in_flight["max"] = max(in_flight["max"], in_flight["now"])
+            position = schedule.index(profile.name)
+            if position % 2 == 0 and position + 1 < len(schedule):
+                waits.append(done[schedule[position + 1]].wait(timeout=30))
+            with lock:
+                in_flight["now"] -= 1
+                finished.append(profile.name)
+            done[profile.name].set()
+            index = float(canonical.index(profile.name))
+            return {
+                "ipc": index,
+                "l3_load_mpki": 0.0,
+                "l2_instr_mpki": 0.0,
+                "branch_mpki": 0.0,
+            }
+
+        monkeypatch.setattr(table1, "measure_profile", fake_measure)
+        result = table1.run(tiny_preset())
+        assert all(waits) and len(waits) == len(schedule) // 2
+        assert finished != schedule
+        assert set(started[-2:]) == shared
+        assert in_flight["max"] == table1.RUNS_IN_FLIGHT == 2
+        assert [row["workload"] for row in result.rows] == canonical
+        assert [row["ipc"] for row in result.rows] == list(
+            map(float, range(len(canonical)))
+        )
 
 
 class TestExperimentResultNotes:
