@@ -19,6 +19,7 @@ Two layers live here:
 from __future__ import annotations
 
 import json
+import threading
 import zipfile
 import zlib
 from pathlib import Path
@@ -30,6 +31,13 @@ from repro.memtrace.trace import Trace
 
 #: Format version written into every bundle; bump on layout changes.
 FORMAT_VERSION = 1
+
+#: Serializes bundle reads across threads.  numpy parses each member's
+#: ``.npy`` header with :func:`ast.literal_eval`, and CPython before
+#: 3.12 keeps the AST converter's recursion depth in per-interpreter
+#: state: two threads parsing at once can fail with ``SystemError: AST
+#: constructor recursion depth mismatch``.
+_READ_LOCK = threading.Lock()
 
 
 def _normalize_path(path: str | Path) -> Path:
@@ -77,13 +85,14 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
     Returns ``(arrays, metadata)``; the version in the header must match
     :data:`FORMAT_VERSION`.  A truncated or corrupt archive raises
-    :class:`TraceError`, like every other unreadable bundle.
+    :class:`TraceError`, like every other unreadable bundle.  Safe to
+    call from several threads at once (reads take :data:`_READ_LOCK`).
     """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"no trace bundle at {path}")
     try:
-        with np.load(path) as bundle:
+        with _READ_LOCK, np.load(path) as bundle:
             try:
                 header = json.loads(bytes(bundle["header"]).decode())
             except KeyError as exc:
