@@ -84,15 +84,18 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a bundle written by :func:`save_arrays`.
 
     Returns ``(arrays, metadata)``; the version in the header must match
-    :data:`FORMAT_VERSION`.  A truncated or corrupt archive raises
-    :class:`TraceError`, like every other unreadable bundle.  Safe to
-    call from several threads at once (reads take :data:`_READ_LOCK`).
+    :data:`FORMAT_VERSION`.  A truncated, corrupt or non-``.npz`` file
+    raises :class:`TraceError`, like every other unreadable bundle, and
+    the file is closed on every path.  Safe to call from several threads
+    at once (reads take :data:`_READ_LOCK`).
     """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"no trace bundle at {path}")
     try:
-        with _READ_LOCK, np.load(path) as bundle:
+        # ``np.load(path)`` would open the file itself and leak the handle
+        # when the archive turns out torn; a handle we own always closes.
+        with _READ_LOCK, open(path, "rb") as handle, np.load(handle) as bundle:
             try:
                 header = json.loads(bytes(bundle["header"]).decode())
             except KeyError as exc:
@@ -102,7 +105,7 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             arrays = {
                 name: bundle[name] for name in bundle.files if name != "header"
             }
-    except (zipfile.BadZipFile, EOFError, zlib.error) as exc:
+    except (zipfile.BadZipFile, EOFError, zlib.error, ValueError) as exc:
         raise TraceError(f"{path} is a torn or corrupt bundle: {exc}") from exc
     if header.get("version") != FORMAT_VERSION:
         raise TraceError(

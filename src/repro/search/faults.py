@@ -32,7 +32,9 @@ silently re-deals every fault.  The *keyed* draws instead derive an
 independent generator per ``(leaf, query, attempt)`` from a stable
 :class:`numpy.random.SeedSequence` spawn key, so a query's faults and
 latencies do not depend on how the event loop interleaved it with other
-queries' RPCs.
+queries' RPCs.  Building a ``SeedSequence`` per RPC costs tens of
+microseconds, so :class:`KeyedSeedWords` computes the same seed words for
+a block of consecutive query keys at once with NumPy.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -50,6 +53,178 @@ from repro.search.latency import QueryLatencyModel
 #: call draws from attempt ``HEDGE_ATTEMPT_OFFSET + N``, so primaries and
 #: hedges never share a keyed stream.
 HEDGE_ATTEMPT_OFFSET = 1_000
+
+
+#: Query keys per block of precomputed seed words (8 KiB of words per
+#: ``(leaf, attempt)`` stream).
+_SEED_BLOCK_KEYS = 256
+
+#: Query keys from here on span two 32-bit words; their seed words come
+#: from a per-RPC :class:`numpy.random.SeedSequence`.
+_ONE_WORD_KEYS = 1 << 32
+
+# The hash of numpy.random.SeedSequence (NumPy's ``bit_generator.pyx``,
+# after O'Neill's ``seed_seq_fe``) on 32-bit words.
+_MASK32 = 0xFFFF_FFFF
+_POOL_WORDS = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as little-endian 32-bit words, the way SeedSequence splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+class _HashConstants:
+    """A SeedSequence hash multiplier; it evolves independently of the data."""
+
+    def __init__(self, init: int = _INIT_A, mult: int = _MULT_A) -> None:
+        self.value = init
+        self._mult = mult
+
+    def next_pair(self) -> tuple[int, int]:
+        """(xor constant, multiplier) of the next hash step."""
+        xor = self.value
+        self.value = (self.value * self._mult) & _MASK32
+        return xor, self.value
+
+    def hashmix(self, value: int) -> int:
+        xor, mult = self.next_pair()
+        value = ((value ^ xor) * mult) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+
+def _output_constants() -> list[tuple[int, int]]:
+    """(xor constant, multiplier) of each 32-bit word ``generate_state``
+    emits; PCG64 takes four uint64 = eight uint32 words."""
+    constants = _HashConstants(_INIT_B, _MULT_B)
+    return [constants.next_pair() for __ in range(8)]
+
+
+_OUTPUT_CONSTANTS = _output_constants()
+
+
+class KeyedSeedWords:
+    """PCG64 seed words of the keyed streams of one ``(seed, leaf, attempt)``.
+
+    The keyed stream of query ``k`` is seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(leaf, k, attempt))``.  Its
+    entropy words are the seed's (padded to four), the leaf's, ``k``'s
+    and the attempt's; only ``k``'s vary along a stream.  The hash state
+    before ``k``'s word and the hash of the attempt's words after it are
+    therefore computed once here, and :meth:`block` hashes a run of
+    one-word keys (``0 <= k < 2**32``) with uint32 array arithmetic.
+    The result equals ``SeedSequence(...).generate_state(4, np.uint64)``
+    word for word.
+    """
+
+    def __init__(self, seed: int, leaf_id: int, attempt: int) -> None:
+        run = _uint32_words(seed)
+        run += [0] * (_POOL_WORDS - len(run))
+        constants = _HashConstants()
+        pool = [constants.hashmix(word) for word in run[:_POOL_WORDS]]
+        for src in range(_POOL_WORDS):
+            for dst in range(_POOL_WORDS):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], constants.hashmix(pool[src]))
+        for word in run[_POOL_WORDS:] + _uint32_words(leaf_id):
+            for dst in range(_POOL_WORDS):
+                pool[dst] = _mix(pool[dst], constants.hashmix(word))
+        #: ``_MIX_MULT_L * pool`` before the key word, per pool word.
+        self._scaled_pool = [(_MIX_MULT_L * word) & _MASK32 for word in pool]
+        #: ``hashmix`` constants the key word meets, per pool word.
+        self._key_constants = [constants.next_pair() for __ in range(_POOL_WORDS)]
+        #: ``(pool index, _MIX_MULT_R * hashed word)`` of the attempt's
+        #: words, in order.
+        self._suffix = [
+            (dst, (_MIX_MULT_R * constants.hashmix(word)) & _MASK32)
+            for word in _uint32_words(attempt)
+            for dst in range(_POOL_WORDS)
+        ]
+        self._first_key = 0
+        self._block = np.empty((0, 4), np.uint64)
+
+    def block(self, first_key: int, count: int) -> np.ndarray:
+        """Seed words of keys ``first_key .. first_key + count - 1``.
+
+        Returns a ``(count, 4)`` uint64 array.  Every key must fit one
+        32-bit word.
+        """
+        if not 0 <= first_key <= first_key + count <= _ONE_WORD_KEYS:
+            raise ConfigurationError(
+                f"keys {first_key}..{first_key + count - 1} are not in [0, 2**32)"
+            )
+        keys = np.arange(first_key, first_key + count, dtype=np.uint32)
+        pool = []
+        for scaled, (xor, mult) in zip(self._scaled_pool, self._key_constants):
+            hashed = (keys ^ xor) * mult
+            hashed ^= hashed >> _XSHIFT
+            mixed = scaled - _MIX_MULT_R * hashed
+            mixed ^= mixed >> _XSHIFT
+            pool.append(mixed)
+        for dst, scaled in self._suffix:
+            mixed = _MIX_MULT_L * pool[dst] - scaled
+            mixed ^= mixed >> _XSHIFT
+            pool[dst] = mixed
+        state = np.empty((count, len(_OUTPUT_CONSTANTS)), np.uint32)
+        for index, (xor, mult) in enumerate(_OUTPUT_CONSTANTS):
+            data = (pool[index % _POOL_WORDS] ^ xor) * mult
+            state[:, index] = data ^ (data >> _XSHIFT)
+        # Word pairs are little-endian uint64s, as in ``generate_state``.
+        return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+    def words(self, query_key: int) -> np.ndarray:
+        """The four seed words of one key, from the latest block.
+
+        A key outside the latest block replaces it with the aligned block
+        of :data:`_SEED_BLOCK_KEYS` keys that holds it; only one block is
+        kept.
+        """
+        index = query_key - self._first_key
+        if not 0 <= index < len(self._block):
+            self._first_key = query_key - query_key % _SEED_BLOCK_KEYS
+            self._block = self.block(self._first_key, _SEED_BLOCK_KEYS)
+            index = query_key - self._first_key
+        return self._block[index]
+
+
+@ISeedSequence.register
+class _SeedWords:
+    """Hands :class:`numpy.random.PCG64` its precomputed seed words.
+
+    Registered rather than subclassed: a real subclass would get ABC
+    caches of its own, filled mid-run by the ``isinstance(seed,
+    ISeedSequence)`` check of every ``default_rng`` call.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise ConfigurationError(
+                f"precomputed seed words serve PCG64's 4 uint64 words, "
+                f"not {n_words} of {dtype}"
+            )
+        return self._words
 
 
 class SimulatedClock:
@@ -167,9 +342,13 @@ class FaultInjector:
     ) -> None:
         self.spec = spec or FaultSpec()
         self.model = model or QueryLatencyModel()
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative int, got {seed!r}")
         self.clock = SimulatedClock()
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.seed = int(seed)
+        self._rng = np.random.default_rng(self.seed)
+        #: (leaf, attempt) -> seed words of its keyed streams.
+        self._keyed_seeds: dict[tuple[int, int], KeyedSeedWords] = {}
         #: leaf_id -> simulated time of death, in arrival order.
         self.died_at_ms: dict[int, float] = {}
         # Per-instance counters: fault sweeps build one injector per
@@ -237,19 +416,30 @@ class FaultInjector:
     def rng_for(self, leaf_id: int, query_key: int, attempt: int = 1) -> np.random.Generator:
         """The independent generator for one ``(leaf, query, attempt)``.
 
-        Derived from a :class:`numpy.random.SeedSequence` spawn key, so
-        the stream depends only on the injector's seed and the stable
-        identifiers — never on how many other draws happened first.
+        Seeded as by a :class:`numpy.random.SeedSequence` spawn key
+        ``(leaf_id, query_key, attempt)``, so the stream depends only on
+        the injector's seed and the stable identifiers — never on how
+        many other draws happened first.  Keys below ``2**32`` take their
+        seed words from a :class:`KeyedSeedWords` block; larger keys
+        build the ``SeedSequence`` itself.
         """
-        if query_key < 0 or attempt < 1:
+        if leaf_id < 0 or query_key < 0 or attempt < 1:
             raise ConfigurationError(
-                f"need query_key >= 0 and attempt >= 1, got "
-                f"({query_key}, {attempt})"
+                f"need leaf_id >= 0, query_key >= 0 and attempt >= 1, got "
+                f"({leaf_id}, {query_key}, {attempt})"
             )
-        sequence = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(int(leaf_id), int(query_key), int(attempt))
-        )
-        return np.random.default_rng(sequence)
+        leaf_id, query_key, attempt = int(leaf_id), int(query_key), int(attempt)
+        if query_key >= _ONE_WORD_KEYS:
+            sequence = np.random.SeedSequence(
+                entropy=self.seed, spawn_key=(leaf_id, query_key, attempt)
+            )
+            return np.random.default_rng(sequence)
+        seeds = self._keyed_seeds.get((leaf_id, attempt))
+        if seeds is None:
+            seeds = KeyedSeedWords(self.seed, leaf_id, attempt)
+            self._keyed_seeds[leaf_id, attempt] = seeds
+        words = seeds.words(query_key)
+        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
     def plan_rpc(
         self,
@@ -277,7 +467,9 @@ class FaultInjector:
             if query_key is None
             else self.rng_for(leaf_id, query_key, attempt)
         )
-        u_hard, u_transient, u_spike = rng.uniform(size=3)
+        # ``random`` draws what ``uniform(0, 1)`` would, minus its
+        # argument handling.
+        u_hard, u_transient, u_spike = rng.random(3).tolist()
         latency = self.model.sample_leaf_ms(rng, self.spec.utilization)
 
         if self.is_dead(leaf_id):

@@ -27,7 +27,8 @@ from repro.errors import ConfigurationError
 from repro.memtrace.trace import AccessKind, Segment
 from repro.obs.metrics import MetricsRegistry
 from repro.search.indexer import IndexShard
-from repro.search.scoring import Bm25Parameters, bm25_score
+from repro.search.postings import PostingList
+from repro.search.scoring import Bm25Parameters, bm25_score, idf
 from repro.search.simmem import SimulatedMemory, TraceRecorder
 
 _LINE_BYTES = 64
@@ -46,6 +47,20 @@ class SearchHit:
 
     doc_id: int
     score: float
+
+
+@dataclass(frozen=True)
+class _ScoredTerm:
+    """A term's posting list, decoded and scored once per leaf."""
+
+    posting: PostingList | None
+    #: Heap offset of the term's dictionary entry.
+    dict_offset: int
+    #: Upper bound of any document's score from this term.
+    bound: float
+    #: Shard-local ids of the term's documents, and their boosted BM25.
+    local_ids: np.ndarray
+    scores: np.ndarray
 
 
 class LeafServer:
@@ -116,6 +131,10 @@ class LeafServer:
         self._term_rank = {
             term: rank for rank, term in enumerate(sorted(shard.postings))
         }
+        #: term -> its scored postings, filled on the term's first query.
+        #: The shard never changes, so decoding and scoring once serves
+        #: every later query.
+        self._scored: dict[int, _ScoredTerm] = {}
 
     @property
     def queries_served(self) -> int:
@@ -174,31 +193,36 @@ class LeafServer:
         self._queries.inc()
         self._code("parse", 0.5, _INSTR_QUERY_OVERHEAD)
 
-        shard = self.shard
+        entries = [self._scored_term(t) for t in terms]
         if early_termination:
-            terms = sorted(
-                terms,
-                key=lambda t: -self._term_upper_bound(t),
-            )
-        remaining_bound = sum(self._term_upper_bound(t) for t in terms)
+            entries = sorted(entries, key=lambda e: -e.bound)
+        remaining_bound = sum(e.bound for e in entries)
 
-        scores: dict[int, float] = {}
-        for position, term in enumerate(terms):
-            if early_termination and len(scores) >= top_k:
-                kth = sorted(scores.values(), reverse=True)[top_k - 1]
-                if remaining_bound < kth:
-                    for skipped in terms[position:]:
-                        posting = shard.postings.get(skipped)
-                        if posting is not None:
-                            self._postings_skipped.inc(posting.doc_count)
-                    break
-            remaining_bound -= self._term_upper_bound(term)
-            posting = shard.postings.get(term)
+        # Each list holds a document at most once, so a dense accumulator
+        # adds every document's term scores from 0.0 in term order — the
+        # same sums a per-document dict gives.
+        num_docs = self.shard.num_docs
+        scores = np.zeros(num_docs)
+        seen = np.zeros(num_docs, bool)
+        for position, entry in enumerate(entries):
+            if early_termination:
+                admitted = scores[seen]
+                rank = len(admitted) - top_k
+                if rank >= 0:
+                    kth = np.partition(admitted, rank)[rank]
+                    if remaining_bound < kth:
+                        for skipped in entries[position:]:
+                            if skipped.posting is not None:
+                                self._postings_skipped.inc(
+                                    skipped.posting.doc_count
+                                )
+                        break
+            remaining_bound -= entry.bound
+            posting = entry.posting
             self._code("lookup", 0.6, _INSTR_PER_TERM_LOOKUP)
             if self._term_dict_addr >= 0:
-                rank = self._term_rank.get(term, 0)
                 self._touch(
-                    self._term_dict_addr + 48 * rank,
+                    self._term_dict_addr + entry.dict_offset,
                     48,
                     AccessKind.LOAD,
                     Segment.HEAP,
@@ -206,7 +230,6 @@ class LeafServer:
             if posting is None or posting.doc_count == 0:
                 continue
 
-            local_ids, freqs = posting.decode()
             self._postings_scored.inc(posting.doc_count)
             self._code(
                 "decode", 1.0, _INSTR_PER_POSTING_DECODE * posting.doc_count
@@ -217,47 +240,67 @@ class LeafServer:
                 AccessKind.LOAD,
                 Segment.SHARD,
             )
+            self._code(
+                "score", 1.0, _INSTR_PER_POSTING_SCORE * posting.doc_count
+            )
+            if self.recorder is not None:
+                self._record_scoring_accesses(entry.local_ids)
+            scores[entry.local_ids] += entry.scores
+            seen[entry.local_ids] = True
 
-            lengths = shard.doc_lengths[local_ids]
-            term_scores = bm25_score(
+        candidates = np.flatnonzero(seen)
+        self._code("topk", 0.8, _INSTR_PER_TOPK_CANDIDATE * len(candidates))
+        doc_ids = self.shard.doc_ids[candidates]
+        doc_scores = scores[candidates]
+        best = np.lexsort((doc_ids, -doc_scores))[:top_k]
+        return [
+            SearchHit(doc_id=d, score=s)
+            for d, s in zip(doc_ids[best].tolist(), doc_scores[best].tolist())
+        ]
+
+    def _scored_term(self, term: int) -> _ScoredTerm:
+        """Decode and score one term's postings, once per leaf."""
+        entry = self._scored.get(term)
+        if entry is not None:
+            return entry
+        shard = self.shard
+        posting = shard.postings.get(term)
+        local_ids = np.empty(0, np.int32)
+        scores = np.empty(0)
+        bound = 0.0
+        if posting is not None and posting.doc_count > 0:
+            decoded_ids, freqs = posting.decode()
+            scores = bm25_score(
                 freqs,
-                lengths,
+                shard.doc_lengths[decoded_ids],
                 shard.average_length,
                 shard.total_docs,
                 posting.doc_count,
                 self.bm25,
             )
-            term_scores = term_scores * (1.0 + 0.1 * shard.static_rank[local_ids])
-            self._code(
-                "score", 1.0, _INSTR_PER_POSTING_SCORE * posting.doc_count
+            scores = scores * (1.0 + 0.1 * shard.static_rank[decoded_ids])
+            local_ids = decoded_ids.astype(np.int32)
+            # tf-saturation limit is (k1 + 1); static rank boosts up to 10%.
+            bound = (
+                idf(shard.total_docs, posting.doc_count)
+                * (self.bm25.k1 + 1.0)
+                * 1.1
             )
-            if self.recorder is not None:
-                self._record_scoring_accesses(local_ids)
-
-            for local, s in zip(local_ids.tolist(), term_scores.tolist()):
-                doc = int(shard.doc_ids[local])
-                scores[doc] = scores.get(doc, 0.0) + s
-
-        self._code("topk", 0.8, _INSTR_PER_TOPK_CANDIDATE * len(scores))
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-        return [SearchHit(doc_id=d, score=s) for d, s in ranked]
-
-    def _term_upper_bound(self, term: int) -> float:
-        """Maximum BM25 contribution any document can get from one term."""
-        posting = self.shard.postings.get(term)
-        if posting is None or posting.doc_count == 0:
-            return 0.0
-        from repro.search.scoring import idf
-
-        # tf-saturation limit is (k1 + 1); static rank boosts up to 10%.
-        return (
-            idf(self.shard.total_docs, posting.doc_count)
-            * (self.bm25.k1 + 1.0)
-            * 1.1
+        local_ids.flags.writeable = False
+        scores.flags.writeable = False
+        entry = _ScoredTerm(
+            posting=posting,
+            dict_offset=48 * self._term_rank.get(term, 0),
+            bound=bound,
+            local_ids=local_ids,
+            scores=scores,
         )
+        self._scored[term] = entry
+        return entry
 
     def _record_scoring_accesses(self, local_ids: np.ndarray) -> None:
         """Heap touches of the scoring stage, vectorized."""
+        local_ids = local_ids.astype(np.int64)
         meta = self.shard.doc_length_addr + 8 * local_ids
         rank = self.shard.static_rank_addr + 8 * local_ids
         acc = self._accumulator_addr + 8 * (local_ids % self._accumulator_slots)

@@ -1,5 +1,8 @@
 """Tests for trace persistence."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,22 @@ class TestRoundtrip:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TraceError, match="torn or corrupt"):
             load_trace(path)
+
+    @pytest.mark.parametrize("kind", ["truncated", "junk"])
+    def test_unreadable_bundle_closes_its_file(self, tmp_path, kind):
+        """Regression: every torn bundle leaked an open file handle."""
+        path = save_arrays({"xs": np.arange(10_000)}, tmp_path / "b")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] if kind == "truncated" else b"junk")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                load_arrays(path)
+            except TraceError:
+                pass
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_uppercase_suffix_respected(self, trace, tmp_path):
         """Regression: ``t.NPZ`` used to come back as ``t.NPZ.npz``."""

@@ -133,3 +133,14 @@ class TestFaultInjector:
             quiet_draws.append(quiet.plan_rpc(0).latency_ms)
             noisy_draws.append(noisy.plan_rpc(0).latency_ms)
         assert noisy_draws == pytest.approx(quiet_draws)
+
+    def test_negative_seed_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            FaultInjector(seed=-1)
+
+    @pytest.mark.parametrize(
+        ("leaf_id", "query_key", "attempt"), [(-1, 0, 1), (0, -1, 1), (0, 0, 0)]
+    )
+    def test_bad_stream_ids_are_configuration_errors(self, leaf_id, query_key, attempt):
+        with pytest.raises(ConfigurationError):
+            FaultInjector(seed=1).rng_for(leaf_id, query_key, attempt)
