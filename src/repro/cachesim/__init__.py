@@ -45,12 +45,7 @@ from repro.cachesim.indexing import (
     set_index,
     set_indices,
 )
-from repro.cachesim.mattson import (
-    hit_rate_for_capacities,
-    hit_rate_for_ways,
-    set_stack_distances,
-    stack_distances,
-)
+from repro.cachesim.mattson import hit_rate_for_capacities, hit_rate_for_ways
 from repro.cachesim.opt import opt_hit_rate, simulate_opt
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.cachesim.results import HierarchyResult, LevelStats
@@ -77,8 +72,6 @@ __all__ = [
     "set_index",
     "set_indices",
     "simulate_direct_mapped",
-    "stack_distances",
-    "set_stack_distances",
     "hit_rate_for_capacities",
     "hit_rate_for_ways",
     "opt_hit_rate",

@@ -1,14 +1,14 @@
 """NumPy-vectorized cache-simulation kernels.
 
-The per-access simulator (:class:`repro.cachesim.cache.SetAssociativeCache`
-and the loops in :mod:`repro.cachesim.mattson`) replays traces one address
-at a time through Python data structures — exact, readable, and far too
-slow for a campaign.  The kernels here are **bit-identical** to it
-(enforced by the differential suite in
-``tests/cachesim/test_fastsim_differential.py``), and every cachesim
-entry point uses them whenever they are exact for the request: LRU
-replacement, no inclusion, no prefetchers.  Requests outside that set
-run the per-access loop and count a fallback.
+The per-access simulator (:class:`repro.cachesim.cache.SetAssociativeCache`,
+and the Mattson loops kept as test oracles in
+``tests/cachesim/loop_oracles.py``) replays traces one address at a time
+through Python data structures — exact, readable, and far too slow for a
+campaign.  The kernels here are **bit-identical** to it (enforced by the
+differential suite in ``tests/cachesim/test_fastsim_differential.py``),
+and every cachesim entry point uses them whenever they are exact for
+the request: LRU replacement, no inclusion, no prefetchers.  Requests
+outside that set run the per-access loop and count a fallback.
 
 Two kernels:
 
@@ -42,6 +42,8 @@ Two kernels:
    iterative merge-sort counting pass (``log2(n)`` levels, each one
    stable sort of a packed ``(value, position)`` int64 key) — the whole
    LRU miss curve from one pass, with no per-capacity re-simulation.
+   The keys are padded to a power of two, but each level sorts and
+   counts only the rows that hold real entries.
 
 The direct-mapped L4 has its own one-sort kernel in
 :mod:`repro.cachesim.directmapped`.  Kernel activity is tracked in module
@@ -161,13 +163,19 @@ def _count_preceding_leq(values: np.ndarray) -> np.ndarray:
     merged rank minus its rank among right-half peers.  Each ordered pair
     is counted exactly once — at the level where the two positions first
     share a parent block.  O(n log n) work, all in NumPy.
+
+    The keys are padded to a power of two, but a level sorts and counts
+    only the *live* rows, those holding at least one real entry: a
+    pad-only row holds equal values in ascending position order, so it
+    is already sorted, and pad counts are never read.  Counts accumulate
+    in int32 (:func:`_position_bits` keeps ``n`` below ``2**31``) and
+    come back as int64.
     """
     n = len(values)
     bits = _position_bits(n)
-    size = 1 << bits
-    counts = np.zeros(size, np.int64)
     if n < 2:
-        return counts[:n]
+        return np.zeros(n, np.int64)
+    size = 1 << bits
     low = int(values.min())
     pad = int(values.max()) - low + 1
     if pad > n + 1:
@@ -182,19 +190,21 @@ def _count_preceding_leq(values: np.ndarray) -> np.ndarray:
     keys <<= bits
     keys |= np.arange(size, dtype=np.int64)
     position = size - 1
+    counts = np.zeros(size, np.int32)
     # Every row holds ``block`` right-half elements, so the k-th one in
     # flat order has rank ``k % block`` among its row's right half.
     right_rank = np.arange(size // 2, dtype=np.int64)
     block = 1
     while block < size:
         width = 2 * block
-        keys.reshape(-1, width).sort(axis=1, kind="stable")
-        at = np.flatnonzero(keys & block)
+        live = keys[: min(size, -(-n // width) * width)]
+        live.reshape(-1, width).sort(axis=1, kind="stable")
+        at = np.flatnonzero((live & block).astype(bool))
         ahead = at & (width - 1)
-        ahead -= right_rank & (block - 1)
-        counts[keys[at] & position] += ahead
+        ahead -= right_rank[: len(at)] & (block - 1)
+        counts[live[at] & position] += ahead
         block = width
-    return counts
+    return counts[:n].astype(np.int64)
 
 
 def _previous_occurrence(lines: np.ndarray) -> np.ndarray:
@@ -228,12 +238,11 @@ def _stack_distances(
     evictions).
     """
     n = len(lines64)
-    out = np.empty(n, np.int64)
     if n == 0:
-        return out
+        return np.empty(0, np.int64)
     prev = _previous_occurrence(lines64)
     if removals is None:
-        counts = _count_preceding_leq(prev)[:n]
+        out = _count_preceding_leq(prev)
     else:
         # Each removal enters the count as a marker valued ``last`` right
         # after ``after``.  Access i counts a passed marker iff the line
@@ -246,18 +255,19 @@ def _stack_distances(
         values = np.empty(n + len(after), np.int64)
         values[slot] = prev
         values[after + np.arange(1, len(after) + 1)] = last
-        counts = _count_preceding_leq(values)[slot] - passed
-    cold = prev < 0
-    out[cold] = COLD
-    out[~cold] = counts[~cold] - prev[~cold]
+        out = _count_preceding_leq(values)[slot]
+        out -= passed
+    out -= prev
+    out[prev < 0] = COLD
     return out
 
 
 def fast_stack_distances(lines: np.ndarray) -> np.ndarray:
     """Exact LRU stack distance of every access, fully vectorized.
 
-    Bit-identical to :func:`repro.cachesim.mattson.stack_distances`
-    (cold accesses get :data:`COLD`); see the module docstring for the
+    Bit-identical to the per-access Mattson loop (Olken's Fenwick-tree
+    algorithm, kept as ``tests/cachesim/loop_oracles.stack_distances``);
+    cold accesses get :data:`COLD`.  See the module docstring for the
     closed form this evaluates.
     """
     n = len(lines)

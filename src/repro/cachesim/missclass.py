@@ -63,8 +63,8 @@ def classify_misses(lines: np.ndarray, geometry: CacheGeometry) -> MissBreakdown
     Runs the exact set-associative LRU simulation and the exact
     stack-distance analysis, both through the vectorized kernels of
     :mod:`repro.cachesim.fastsim` (bit-identical to the per-access
-    :class:`~repro.cachesim.cache.SetAssociativeCache` and
-    :func:`~repro.cachesim.mattson.stack_distances`).
+    :class:`~repro.cachesim.cache.SetAssociativeCache` and to the Mattson
+    reference loop of ``tests/cachesim/loop_oracles.py``).
     """
     n = len(lines)
     if n == 0:

@@ -85,9 +85,10 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
     Returns ``(arrays, metadata)``; the version in the header must match
     :data:`FORMAT_VERSION`.  A truncated, corrupt or non-``.npz`` file
-    raises :class:`TraceError`, like every other unreadable bundle, and
-    the file is closed on every path.  Safe to call from several threads
-    at once (reads take :data:`_READ_LOCK`).
+    (a plain ``.npy`` payload included) raises :class:`TraceError`, like
+    every other unreadable bundle, and the file is closed on every path.
+    Safe to call from several threads at once (reads take
+    :data:`_READ_LOCK`).
     """
     path = Path(path)
     if not path.exists():
@@ -95,16 +96,24 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     try:
         # ``np.load(path)`` would open the file itself and leak the handle
         # when the archive turns out torn; a handle we own always closes.
-        with _READ_LOCK, open(path, "rb") as handle, np.load(handle) as bundle:
-            try:
-                header = json.loads(bytes(bundle["header"]).decode())
-            except KeyError as exc:
+        with _READ_LOCK, open(path, "rb") as handle:
+            bundle = np.load(handle)
+            if not isinstance(bundle, np.lib.npyio.NpzFile):
                 raise TraceError(
-                    f"{path} is not a trace bundle: missing {exc}"
-                ) from exc
-            arrays = {
-                name: bundle[name] for name in bundle.files if name != "header"
-            }
+                    f"{path} is not a trace bundle: a plain .npy payload"
+                )
+            with bundle:
+                try:
+                    header = json.loads(bytes(bundle["header"]).decode())
+                except KeyError as exc:
+                    raise TraceError(
+                        f"{path} is not a trace bundle: missing {exc}"
+                    ) from exc
+                arrays = {
+                    name: bundle[name]
+                    for name in bundle.files
+                    if name != "header"
+                }
     except (zipfile.BadZipFile, EOFError, zlib.error, ValueError) as exc:
         raise TraceError(f"{path} is a torn or corrupt bundle: {exc}") from exc
     if header.get("version") != FORMAT_VERSION:

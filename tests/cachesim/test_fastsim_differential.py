@@ -33,7 +33,7 @@ from repro.cachesim.hierarchy import (
     _simulate_exact,
     simulate_hierarchy,
 )
-from repro.cachesim.mattson import COLD, hit_rate_for_capacities, stack_distances
+from repro.cachesim.mattson import COLD, hit_rate_for_capacities
 from repro.cachesim.missclass import MissBreakdown, classify_misses
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.errors import TraceError
@@ -41,7 +41,7 @@ from repro.hw import catalog
 from repro.hw.adapters import hierarchy_config
 from repro.memtrace.synthetic import generate_trace
 from repro.workloads.profiles import get_profile
-from tests.cachesim.loop_oracles import access_hits, lru_hits
+from tests.cachesim.loop_oracles import access_hits, lru_hits, stack_distances
 
 #: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
 PLT1_SIM = hierarchy_config(catalog.plt1_simulated())
@@ -300,10 +300,10 @@ class TestAdversarialTraces:
 
 
 def _brute_preceding_leq(values):
-    return [
-        sum(1 for j in range(i) if values[j] <= values[i])
-        for i in range(len(values))
-    ]
+    """#{j < i : values[j] <= values[i]} for every i, as one (n, n) mask."""
+    n = len(values)
+    earlier = np.tri(n, k=-1, dtype=bool)
+    return np.count_nonzero(earlier & (values[None, :] <= values[:, None]), axis=1)
 
 
 @st.composite
@@ -341,14 +341,14 @@ class TestMergeCount:
     @given(prev_like_values())
     def test_matches_brute_force(self, values):
         array = np.asarray(values, np.int64)
-        got = fastsim._count_preceding_leq(array)[: len(values)]
-        assert got.tolist() == _brute_preceding_leq(values)
+        got = fastsim._count_preceding_leq(array)
+        assert np.array_equal(got, _brute_preceding_leq(array))
 
     @given(st.lists(st.integers(-(2**62), 2**62), max_size=70))
     def test_wide_values_are_ranked_first(self, values):
         array = np.asarray(values, np.int64)
-        got = fastsim._count_preceding_leq(array)[: len(values)]
-        assert got.tolist() == _brute_preceding_leq(values)
+        got = fastsim._count_preceding_leq(array)
+        assert np.array_equal(got, _brute_preceding_leq(array))
 
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=80), st.data())
     def test_removals_drop_lines_from_later_windows(self, values, data):
@@ -370,6 +370,41 @@ class TestMergeCount:
             lines, (np.empty(0, np.int64), np.empty(0, np.int64))
         )
         assert np.array_equal(no_op, fast_stack_distances(lines))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_live_rows_at_power_of_two_boundaries(self, k):
+        """n = 2**k - 1, 2**k, 2**k + 1: the last live row is full, exact
+        or a single entry, for narrow (prev-shaped) and wide values."""
+        rng = np.random.default_rng(k)
+        for n in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            for values in (
+                rng.integers(-1, n, n),
+                rng.integers(-(2**62), 2**62, n),
+            ):
+                got = fastsim._count_preceding_leq(values)
+                assert got.dtype == np.int64
+                assert got.shape == (n,)
+                assert np.array_equal(got, _brute_preceding_leq(values))
+
+    @pytest.mark.parametrize(
+        "n, removed", [(60, 5), (62, 3), (126, 3), (255, 2), (250, 7)]
+    )
+    def test_removal_markers_cross_a_power_of_two(self, n, removed):
+        """``n`` accesses pad to one power of two, ``n + removed`` markers
+        to the next: the markers land in rows beyond the accesses' own."""
+        assert (n - 1).bit_length() < (n + removed - 1).bit_length()
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 12, n).tolist()
+        last = {line: i for i, line in enumerate(values)}
+        lines_out = rng.choice(sorted(last), removed, replace=False).tolist()
+        pairs = sorted(
+            (int(rng.integers(last[line], n)), line) for line in lines_out
+        )
+        after = np.asarray([a for a, __ in pairs], np.int64)
+        lasts = np.asarray([last[line] for __, line in pairs], np.int64)
+        got = fastsim._stack_distances(np.asarray(values, np.int64), (after, lasts))
+        assert got.dtype == np.int64
+        assert got.tolist() == _brute_removal_distances(values, pairs)
 
     @given(st.integers(0, 1 << 31))
     def test_key_width_bound_is_a_function_of_n(self, n):

@@ -30,12 +30,7 @@ from repro.cachesim.hierarchy import (
     _simulate_exact,
     simulate_hierarchy,
 )
-from repro.cachesim.mattson import (
-    COLD,
-    hit_rate_for_ways,
-    set_stack_distances,
-    stack_distances,
-)
+from repro.cachesim.mattson import COLD, hit_rate_for_ways
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.cpu.tlb import TlbConfig, simulate_tlb
 from repro.errors import ConfigurationError, TraceError
@@ -43,6 +38,7 @@ from repro.hw import catalog
 from repro.hw.adapters import hierarchy_config
 from repro.memtrace.trace import AccessKind, Segment, Trace
 from tests.cachesim import loop_oracles
+from tests.cachesim.loop_oracles import set_stack_distances, stack_distances
 
 #: The §III-A simulated PLT1-like hierarchy, from the hardware catalog.
 PLT1_SIM = hierarchy_config(catalog.plt1_simulated())

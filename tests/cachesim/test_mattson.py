@@ -1,4 +1,4 @@
-"""Tests for the exact Mattson stack-distance analysis."""
+"""Tests for the exact Mattson stack-distance analysis and its reference loop."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.cache import CacheGeometry
-from repro.cachesim.mattson import COLD, hit_rate_for_capacities, stack_distances
+from repro.cachesim.mattson import COLD, hit_rate_for_capacities, hit_rate_for_ways
 from repro.errors import TraceError
-from tests.cachesim.loop_oracles import lru_hits
+from tests.cachesim.loop_oracles import lru_hits, stack_distances
 
 
 def naive_stack_distances(lines):
@@ -76,6 +76,17 @@ class TestHitRateForCapacities:
     def test_all_cold_stream(self):
         rates = hit_rate_for_capacities(np.arange(100), [10, 1000])
         assert (rates == 0).all()
+
+
+class TestHitRateForWays:
+    def test_rejects_empty_stream(self):
+        with pytest.raises(TraceError):
+            hit_rate_for_ways(np.empty(0, np.int64), 4, [1, 2])
+
+    @pytest.mark.parametrize("ladder", [[], [0], [2, -1]])
+    def test_rejects_bad_ladder(self, ladder):
+        with pytest.raises(TraceError):
+            hit_rate_for_ways(np.array([1, 2, 1]), 2, ladder)
 
 
 class TestEngineBranches:

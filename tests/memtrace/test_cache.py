@@ -109,6 +109,14 @@ class TestArtifactCache:
         assert cache.stats()["misses"] == 1
         assert cache.stats()["hits"] == 0
 
+    def test_plain_npy_payload_is_miss(self, cache):
+        key = artifact_key("t", seed=4)
+        path = cache.store(key, "t", {"a": np.arange(100)})
+        with open(path, "wb") as handle:
+            np.save(handle, np.arange(100))
+        assert cache.load(key, "t") is None
+        assert cache.stats()["misses"] == 1
+
     def test_counters_track_traffic(self, cache):
         key = artifact_key("t", seed=0)
         cache.store(key, "t", {"a": np.arange(100)})

@@ -79,6 +79,20 @@ class TestRoundtrip:
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not leaks, [str(w.message) for w in leaks]
 
+    def test_plain_npy_payload_raises_trace_error(self, tmp_path):
+        """Regression: a ``.npy`` payload under a ``.npz`` name raised a raw
+        ``TypeError`` (``np.load`` returns an array, not an archive)."""
+        path = tmp_path / "plain.npz"
+        with open(path, "wb") as handle:
+            np.save(handle, np.arange(10))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(TraceError, match="plain .npy payload"):
+                load_arrays(path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
     def test_uppercase_suffix_respected(self, trace, tmp_path):
         """Regression: ``t.NPZ`` used to come back as ``t.NPZ.npz``."""
         path = save_trace(trace, tmp_path / "t.NPZ")
