@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro._units import KiB
-from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
+from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.directmapped import simulate_direct_mapped
+from repro.cachesim.fastsim import fast_lru_hits
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.cpu.branch import (
     BranchWorkloadConfig,
@@ -33,9 +34,10 @@ def zipf_lines():
 def test_exact_set_associative_throughput(benchmark, zipf_lines):
     """Exact LRU simulation of 200k accesses through a 256 KiB cache."""
 
+    geometry = CacheGeometry(256 * KiB, 8)
+
     def run():
-        cache = SetAssociativeCache(CacheGeometry(256 * KiB, 8))
-        return cache.simulate(zipf_lines).sum()
+        return fast_lru_hits(zipf_lines, geometry.num_sets, geometry.assoc).sum()
 
     hits = benchmark(run)
     assert hits > 0

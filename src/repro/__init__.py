@@ -4,7 +4,7 @@ The library has four layers:
 
 * **substrates** — :mod:`repro.memtrace` (traces and synthetic workload
   generators), :mod:`repro.cachesim` (exact and analytic cache simulation),
-  :mod:`repro.cpu` (branch/TLB/SMT/Top-Down models), and
+  :mod:`repro.cpu` (branch/SMT/core-scaling/Top-Down models), and
   :mod:`repro.search` (a functional mini web-search serving system that
   emits labelled memory traces);
 * **calibration** — :mod:`repro.workloads` (search services and baseline

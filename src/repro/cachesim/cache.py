@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro._units import format_size, is_power_of_two
 from repro.errors import ConfigurationError
 
@@ -182,50 +180,3 @@ class SetAssociativeCache:
         """Empty the cache."""
         for s in self._sets:
             s.clear()
-
-    # ------------------------------------------------------------------
-
-    def simulate(self, lines: np.ndarray) -> np.ndarray:
-        """Simulate a line stream; return a boolean hit array.
-
-        Same semantics as repeated :meth:`access` calls (minus eviction
-        reporting), continuing from — and updating — the current cache
-        state.  LRU replays the batch through the vectorized kernel
-        :func:`repro.cachesim.fastsim.lru_batch` (bit-identical); FIFO and
-        random replacement run the :meth:`access` loop and count a
-        fallback.
-        """
-        from repro.cachesim import fastsim
-
-        if self.replacement == "lru":
-            return self._simulate_lru(lines)
-        fastsim.count_fallback()
-        hits = np.empty(len(lines), bool)
-        for i, line in enumerate(lines.tolist()):
-            hits[i] = self.access(line)[0]
-        return hits
-
-    def _simulate_lru(self, lines: np.ndarray) -> np.ndarray:
-        """Vectorized LRU batch replay that keeps ``_sets`` in sync."""
-        from itertools import chain
-
-        from repro.cachesim import fastsim
-
-        if len(lines) == 0:
-            return np.empty(0, bool)
-        warm = np.fromiter(
-            chain.from_iterable(self._sets), np.int64, count=self.resident_lines
-        )
-        hits, (set_idx, tags, ranks, __) = fastsim.lru_batch(
-            np.asarray(lines).astype(np.int64, copy=False),
-            self._num_sets,
-            self._ways,
-            warm=warm,
-        )
-        # Rebuild the per-set lists oldest-to-newest (rank 0 is the MRU).
-        order = np.lexsort((-ranks, set_idx))
-        new_sets: list[list[int]] = [[] for _ in range(self._num_sets)]
-        for s, line in zip(set_idx[order].tolist(), tags[order].tolist()):
-            new_sets[s].append(line)
-        self._sets = new_sets
-        return hits

@@ -56,11 +56,3 @@ def simulate_direct_mapped(lines: np.ndarray, num_sets: int) -> np.ndarray:
     hits = np.empty(n, bool)
     hits[order] = hit_sorted
     return hits
-
-
-def direct_mapped_hit_rate(lines: np.ndarray, capacity_lines: int) -> float:
-    """Hit rate of a direct-mapped cache with ``capacity_lines`` lines."""
-    if len(lines) == 0:
-        raise ConfigurationError("hit rate of an empty stream is undefined")
-    hits = simulate_direct_mapped(lines, capacity_lines)
-    return float(np.count_nonzero(hits)) / len(lines)

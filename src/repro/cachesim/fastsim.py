@@ -12,7 +12,7 @@ outside that set run the per-access loop and count a fallback.
 
 Two kernels:
 
-1. **Set-associative LRU** (:func:`fast_lru_hits`, :func:`lru_batch`).
+1. **Set-associative LRU** (:func:`fast_lru_hits`).
    Accesses in different sets are independent; one stable sort groups
    each set's accesses in program order.  The grouped stream then runs
    through a *register cascade*: an LRU set of ``W`` ways is a chain of
@@ -25,10 +25,7 @@ Two kernels:
    total work is ``sum(min(depth_i, W))`` instead of a full stack-distance
    pass.  For fully-associative or very wide geometries (``W`` beyond
    :data:`CASCADE_MAX_WAYS`) the kernel switches to the stack-distance
-   formulation (hit iff per-set distance <= ``W``).  :func:`lru_batch`
-   replays a warm cache state as a prefix, which is how
-   :meth:`~repro.cachesim.cache.SetAssociativeCache.simulate` continues
-   from earlier batches.
+   formulation (hit iff per-set distance <= ``W``).
 2. **Single-pass Mattson** (:func:`fast_stack_distances`).  The classical
    Fenwick-over-last-access-times algorithm (Olken) computes, for access
    ``i`` with previous occurrence ``p``, the number of still-most-recent
@@ -350,14 +347,6 @@ def _hits_for_set_stream(
     return hits
 
 
-def _grouped_lru_hits(stream: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
-    """Cold-start LRU hit mask of ``stream`` (kernel dispatch, unrecorded)."""
-    if num_sets == 1:
-        distances = _stack_distances(stream)
-        return (distances != COLD) & (distances <= ways)
-    return _hits_for_set_stream(stream, set_indices(stream, num_sets), ways)
-
-
 def fast_lru_hits(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     """Hit mask of a cold-started set-associative LRU cache.
 
@@ -376,7 +365,11 @@ def fast_lru_hits(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     if n == 0:
         return np.empty(0, bool)
     lines64 = np.asarray(lines).astype(np.int64, copy=False)
-    hits = _grouped_lru_hits(lines64, num_sets, ways)
+    if num_sets == 1:
+        distances = _stack_distances(lines64)
+        hits = (distances != COLD) & (distances <= ways)
+    else:
+        hits = _hits_for_set_stream(lines64, set_indices(lines64, num_sets), ways)
     _record_kernel(n)
     return hits
 
@@ -427,67 +420,3 @@ def fast_lru_hits_ladder(
             hits[k, order] = mask
     _record_kernel(n)
     return hits
-
-
-def _final_lru_state(
-    stream: np.ndarray, num_sets: int, ways: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resident lines after an LRU replay of ``stream`` from cold.
-
-    Returns ``(sets, lines, recency_rank, last_pos)`` for every resident
-    line, where rank 0 is the most recently used line of its set — per
-    set, the last ``ways`` distinct lines by final access position.
-    """
-    n = len(stream)
-    order, sorted_lines = stable_group_order(stream)
-    last_of_group = np.empty(n, bool)
-    last_of_group[-1] = True
-    last_of_group[:-1] = sorted_lines[1:] != sorted_lines[:-1]
-    uniq_lines = sorted_lines[last_of_group]
-    last_pos = order[last_of_group]
-    sets = set_indices(uniq_lines, num_sets)
-    # (set ascending, recency descending): rank-within-set then falls out
-    # of a running group start.
-    key = np.lexsort((-last_pos, sets))
-    g_sets = sets[key]
-    g_lines = uniq_lines[key]
-    g_pos = last_pos[key]
-    m = len(g_sets)
-    first = np.empty(m, bool)
-    first[0] = True
-    first[1:] = g_sets[1:] != g_sets[:-1]
-    starts = np.where(first, np.arange(m, dtype=np.int64), 0)
-    rank = np.arange(m, dtype=np.int64) - np.maximum.accumulate(starts)
-    keep = rank < ways
-    return g_sets[keep], g_lines[keep], rank[keep], g_pos[keep]
-
-
-def lru_batch(
-    lines: np.ndarray,
-    num_sets: int,
-    ways: int,
-    warm: np.ndarray | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Replay a batch through a set-associative LRU cache, vectorized.
-
-    ``warm`` is the pre-existing cache state flattened to a line stream
-    whose per-set subsequences list residents oldest to newest; replaying
-    it from cold reconstructs the state exactly (every warm line is
-    distinct, so no evictions occur).  Returns the batch's hit mask and
-    the final resident state as produced by :func:`_final_lru_state`
-    (positions are relative to the warm+batch stream).
-    """
-    lines64 = np.asarray(lines).astype(np.int64, copy=False)
-    if warm is not None and len(warm):
-        stream = np.concatenate((np.asarray(warm, np.int64), lines64))
-        skip = len(warm)
-    else:
-        stream = lines64
-        skip = 0
-    if len(stream) == 0:
-        empty = np.empty(0, np.int64)
-        return np.empty(0, bool), (empty, empty, empty, empty)
-    hits_all = _grouped_lru_hits(stream, num_sets, ways)
-    state = _final_lru_state(stream, num_sets, ways)
-    _record_kernel(len(stream))
-    return hits_all[skip:], state

@@ -22,10 +22,7 @@ though only the last level changed.  This module fuses the campaign:
   between sets) — those points fall back to one kernel call each, still
   sharing the upstream passes.
 
-The TLB sits beside the cache sweep rather than inside it: translations
-depend only on the trace and the page size, never on cache geometry, so
-one (vectorized) :func:`repro.cpu.tlb.simulate_tlb` pass covers a whole
-campaign.  The L4 likewise consumes the swept L3's miss stream
+The L4 consumes the swept L3's miss stream
 (:meth:`~repro.cachesim.composed.ComposedHierarchy.l4_demand`, built
 once per L3 capacity and seed from the memoized L3 solves) through the
 vectorized direct-mapped kernel.

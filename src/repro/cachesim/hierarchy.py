@@ -163,8 +163,7 @@ class AnalyticHierarchyResult(HierarchyResult):
 
     ``l3_curve`` is the miss-ratio curve of the stream entering the L3:
     calling :meth:`l3_sweep` evaluates any number of L3 capacities without
-    re-simulating, and :meth:`l3_miss_stream` yields the victim stream an L4
-    cache would observe at a chosen L3 capacity.
+    re-simulating.
     """
 
     def __init__(
@@ -200,20 +199,6 @@ class AnalyticHierarchyResult(HierarchyResult):
             stats.record_arrays(segments, kinds, hits)
             out[capacity] = stats
         return out
-
-    def l3_miss_stream(
-        self, l3_capacity_bytes: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lines, segments, kinds) of L3 misses at the given capacity.
-
-        This is the demand stream seen by a memory-side L4 victim cache.
-        """
-        curve = self._require_curve()
-        lines_cap = max(1, l3_capacity_bytes // self.l3_block_size)
-        miss = curve.miss_mask(lines_cap)
-        idx = self.l3_indices[miss]
-        lines = lines_of_addrs(self.trace.addr[idx], self.l3_block_size)
-        return lines, self.trace.segment[idx], self.trace.kind[idx]
 
 
 def simulate_hierarchy(

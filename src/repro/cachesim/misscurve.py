@@ -277,41 +277,6 @@ class MissRatioCurve:
                 hi = mid - 1
         return lo
 
-    def windows_for_capacities(
-        self, capacities_lines: np.ndarray | list[int]
-    ) -> np.ndarray:
-        """Vectorized :meth:`window_for_capacity` over many capacities.
-
-        A lockstep binary search: every element follows exactly the
-        (lo, hi) recurrence of the scalar method — same midpoint rule,
-        same early-outs, same float64 comparisons — so the result is
-        bit-identical capacity for capacity.
-        """
-        caps = np.asarray(capacities_lines, np.int64)
-        if len(caps) and (caps <= 0).any():
-            raise TraceError("capacities must be positive")
-        windows = np.full(caps.shape, self._n, np.int64)
-        active = caps < self._m
-        if not active.any():
-            return windows
-        overflow = active & (self.footprint(1) > caps)
-        windows[overflow] = 0
-        solve = np.flatnonzero(active & ~overflow)
-        if not len(solve):
-            return windows
-        c = caps[solve]
-        lo = np.ones(len(solve), np.int64)
-        hi = np.full(len(solve), self._n, np.int64)
-        # Converged elements keep mid == lo and fp(lo) <= c, so the extra
-        # lockstep iterations leave them fixed.
-        while np.any(lo < hi):
-            mid = (lo + hi + 1) // 2
-            le = np.asarray(self.footprint(mid)) <= c
-            lo = np.where(le, mid, lo)
-            hi = np.where(le, hi, mid - 1)
-        windows[solve] = lo
-        return windows
-
     # ------------------------------------------------------------------
     # Hit rates and masks
     # ------------------------------------------------------------------
@@ -355,16 +320,6 @@ class MissRatioCurve:
         """Hit rate at one capacity."""
         window = self.window_for_capacity(capacity_lines)
         return int(self._hits_within(window)) / self._n
-
-    def hit_rates(self, capacities_lines: np.ndarray | list[int]) -> np.ndarray:
-        """Hit rates at several capacities.
-
-        All windows are solved in one lockstep search
-        (:meth:`windows_for_capacities`), bit-identical to calling
-        :meth:`hit_rate` per capacity.
-        """
-        windows = self.windows_for_capacities(capacities_lines)
-        return self._hits_within(windows) / self._n
 
     def miss_count(self, capacity_lines: int) -> int:
         """Number of misses at one capacity (cold + capacity misses)."""

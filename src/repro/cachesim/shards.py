@@ -545,37 +545,6 @@ class ShardsEnsemble:
         return sum(m.reservoir_evictions for m in self._members)
 
 
-def shards_hit_rates(
-    lines: np.ndarray,
-    capacities_lines: np.ndarray | list[int],
-    rate: float = 0.01,
-    max_reservoir: int | None = None,
-    seed: int = 0,
-    replicas: int = 1,
-) -> np.ndarray:
-    """One-call SHARDS estimate over a whole trace.
-
-    The offline convenience mirror of
-    :func:`repro.cachesim.mattson.hit_rate_for_capacities` — same
-    signature shape, estimated instead of exact — used by the accuracy
-    tests (the ``adaptive`` experiment drives :class:`ShardsEnsemble`
-    directly).
-    ``replicas > 1`` averages that many hash-replicated estimators
-    (:class:`ShardsEnsemble`).
-    """
-    if len(lines) == 0:
-        raise TraceError("hit rate of an empty stream is undefined")
-    estimator: ShardsEstimator | ShardsEnsemble
-    if replicas > 1:
-        estimator = ShardsEnsemble(
-            rate=rate, replicas=replicas, max_reservoir=max_reservoir, seed=seed
-        )
-    else:
-        estimator = ShardsEstimator(rate=rate, max_reservoir=max_reservoir, seed=seed)
-    estimator.feed(np.asarray(lines, np.int64))
-    return estimator.curve().hit_rates(capacities_lines)
-
-
 def curve_drift(
     previous: ShardsCurve, current: ShardsCurve, capacities_lines: np.ndarray
 ) -> float:
@@ -591,20 +560,3 @@ def curve_drift(
     previous_miss = previous.miss_ratios(capacities_lines)
     current_miss = current.miss_ratios(capacities_lines)
     return float(np.max(np.abs(previous_miss - current_miss)))
-
-
-def align_to_edges(capacities_lines: np.ndarray | list[int]) -> np.ndarray:
-    """Snap capacities to the estimator's bucket edges (next edge up).
-
-    At ``rate=1.0`` the estimate is exact at edge-aligned capacities;
-    validation harnesses use this to separate bucketing error from
-    sampling error.
-    """
-    caps = np.asarray(capacities_lines, np.float64)
-    if (caps <= 0).any():
-        raise TraceError("capacities must be positive")
-    index = np.minimum(
-        np.searchsorted(DISTANCE_EDGES, caps, side="left"),
-        len(DISTANCE_EDGES) - 1,
-    )
-    return DISTANCE_EDGES[index]

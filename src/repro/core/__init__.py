@@ -16,11 +16,10 @@ Ties the substrates together into the paper's §IV evaluation flow:
 
 from repro.core.perf_model import MemoryLatencies, SearchPerfModel
 from repro.core.area import AreaModel
-from repro.core.hitcurve import ComposedHitCurve, LogLinearHitCurve
+from repro.core.hitcurve import LogLinearHitCurve
 from repro.core.rebalance import CacheForCoresOptimizer, RebalancePoint
 from repro.core.l4cache import L4Config, L4Cache, L4Result
 from repro.core.optimizer import (
-    AnalyticStreamAdapter,
     DesignEvaluation,
     HierarchyDesignEvaluator,
     SensitivityScenario,
@@ -31,14 +30,12 @@ __all__ = [
     "MemoryLatencies",
     "SearchPerfModel",
     "AreaModel",
-    "ComposedHitCurve",
     "LogLinearHitCurve",
     "CacheForCoresOptimizer",
     "RebalancePoint",
     "L4Config",
     "L4Cache",
     "L4Result",
-    "AnalyticStreamAdapter",
     "DesignEvaluation",
     "HierarchyDesignEvaluator",
     "SensitivityScenario",

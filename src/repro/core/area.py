@@ -56,13 +56,3 @@ class AreaModel:
                 f"{l3_mib_per_core} MiB/core"
             )
         return float(whole)
-
-    def slack_mib(self, area_mib: float, cores: int, l3_mib_per_core: float) -> float:
-        """Leftover area after quantizing to whole cores."""
-        used = cores * (self.core_equiv_mib + l3_mib_per_core)
-        slack = area_mib - used
-        if slack < -1e-9:
-            raise ConfigurationError(
-                f"design exceeds the area budget by {-slack:.2f} MiB"
-            )
-        return max(0.0, slack)

@@ -17,23 +17,15 @@ Two curves matter, and they are *different* — faithfully to the paper:
 
 Both are log-linear in capacity — the standard local shape of miss-ratio
 curves over a one-decade capacity range — clamped to sane bounds.
-
-A third option, :class:`ComposedHitCurve`, adapts a measured
-:class:`~repro.cachesim.composed.ComposedHierarchy` demand curve, for
-studies that want the synthetic workload's own curve end to end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro._units import MiB
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.cachesim.composed import ComposedHierarchy
 
 
 @dataclass(frozen=True)
@@ -105,21 +97,3 @@ class LogLinearHitCurve:
             slope_per_doubling=0.175,
             curvature=0.0241,
         )
-
-
-class ComposedHitCurve:
-    """Adapter exposing a composed hierarchy's demand L3 curve as h(C).
-
-    ``scale`` translates paper-scale capacities to the scaled run's
-    capacities, so callers can keep thinking in paper units.
-    """
-
-    def __init__(self, hierarchy: ComposedHierarchy, scale: float = 1.0) -> None:
-        if not 0 < scale <= 1:
-            raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
-        self._hierarchy = hierarchy
-        self._scale = scale
-
-    def __call__(self, capacity_bytes: int) -> float:
-        scaled = max(self._hierarchy.block_size, int(capacity_bytes * self._scale))
-        return self._hierarchy.l3_hit_rate(scaled)

@@ -197,19 +197,6 @@ class L4Cache:
             segment_hits=seg_hits,
         )
 
-    def capacity_sweep(
-        self,
-        lines: np.ndarray,
-        segments: np.ndarray,
-        capacities: list[int],
-    ) -> dict[int, L4Result]:
-        """Simulate several capacities over one stream (Figure 13)."""
-        results = {}
-        for capacity in capacities:
-            cache = L4Cache(self.config.with_capacity(capacity))
-            results[capacity] = cache.simulate(lines, segments)
-        return results
-
     # ------------------------------------------------------------------
     # Physical-design accounting (§IV-C)
     # ------------------------------------------------------------------

@@ -16,10 +16,8 @@ Besides the Eq. 1 and area models (the paper's come from
 inputs:
 
 1. an **L4 demand stream source** — anything exposing ``block_size``,
-   ``l3_hit_rate(capacity_bytes)`` and ``l4_demand(capacity_bytes)``;
-   :class:`~repro.cachesim.composed.ComposedHierarchy` provides this
-   natively, and :class:`AnalyticStreamAdapter` wraps a trace-based
-   :class:`~repro.cachesim.hierarchy.AnalyticHierarchyResult`;
+   ``l3_hit_rate(capacity_bytes)`` and ``l4_demand(capacity_bytes)``,
+   such as :class:`~repro.cachesim.composed.ComposedHierarchy`;
 2. optionally an **L3 hit-rate function** in paper-scale bytes (e.g. the
    Figure 9/10 effective curve) used in the AMAT model; by default the
    stream source's own demand curve is used.
@@ -40,7 +38,6 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro._units import MiB, format_size
-from repro.cachesim.hierarchy import AnalyticHierarchyResult
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.core.area import AreaModel
 from repro.core.l4cache import L4Cache, L4Config
@@ -58,26 +55,6 @@ class L3StreamSource(Protocol):
 
     def l4_demand(self, l3_capacity_bytes: int) -> tuple[np.ndarray, np.ndarray]:
         """(lines, segments) of the L3 miss stream at a (scaled) capacity."""
-
-
-class AnalyticStreamAdapter:
-    """Adapts a trace-based AnalyticHierarchyResult to L3StreamSource."""
-
-    def __init__(self, result: AnalyticHierarchyResult) -> None:
-        if result.l3_curve is None:
-            raise ConfigurationError(
-                "hierarchy result has no L3 stream; simulate with an L3"
-            )
-        self._result = result
-        self.block_size = result.l3_block_size
-
-    def l3_hit_rate(self, capacity_bytes: int) -> float:
-        lines = max(1, capacity_bytes // self.block_size)
-        return self._result.l3_curve.hit_rate(lines)
-
-    def l4_demand(self, l3_capacity_bytes: int) -> tuple[np.ndarray, np.ndarray]:
-        lines, segments, __ = self._result.l3_miss_stream(l3_capacity_bytes)
-        return lines, segments
 
 
 @dataclass(frozen=True)
@@ -131,13 +108,6 @@ class DesignEvaluation:
     l4_hit_rate: float
     qps_improvement: float
     rebalance_only_improvement: float
-
-    @property
-    def l4_additional_improvement(self) -> float:
-        """QPS gain attributable to the L4 on top of the rebalanced L3."""
-        return (1.0 + self.qps_improvement) / (
-            1.0 + self.rebalance_only_improvement
-        ) - 1.0
 
     def render(self) -> str:
         return (
@@ -245,19 +215,3 @@ class HierarchyDesignEvaluator:
             qps_improvement=qps_design / qps_baseline - 1.0,
             rebalance_only_improvement=qps_rebalance / qps_baseline - 1.0,
         )
-
-    def sweep(
-        self,
-        scenarios: list[SensitivityScenario] | None = None,
-        l4_capacities: list[int] | None = None,
-    ) -> list[DesignEvaluation]:
-        """The full Figure 14 grid: scenarios x L4 capacities."""
-        scenarios = scenarios or SensitivityScenario.all_scenarios()
-        l4_capacities = l4_capacities or [
-            size * MiB for size in (128, 256, 512, 1024, 2048)
-        ]
-        return [
-            self.evaluate(scenario, capacity)
-            for scenario in scenarios
-            for capacity in l4_capacities
-        ]

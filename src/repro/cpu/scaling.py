@@ -50,15 +50,3 @@ class CoreScalingModel:
     def curve(self, core_counts: list[int]) -> dict[int, float]:
         """Normalized QPS for each requested core count."""
         return {n: self.normalized_qps(n) for n in core_counts}
-
-    def scaling_exponent(self, low: int, high: int) -> float:
-        """Empirical scaling exponent between two core counts.
-
-        1.0 is perfect linear scaling; the paper's Figure 2a is ~0.99.
-        """
-        import math
-
-        if low < 1 or high <= low:
-            raise ConfigurationError("need 1 <= low < high")
-        ratio = self.normalized_qps(high) / self.normalized_qps(low)
-        return math.log(ratio) / math.log(high / low)

@@ -221,17 +221,3 @@ def run_report(
         outcomes[experiment_id][1] for experiment_id in ids
     )
     return RunReport(results=results, run_metrics=run_metrics)
-
-
-def run_parallel(
-    preset: RunPreset | None = None,
-    only: list[str] | None = None,
-    jobs: int = 2,
-    cache_dir: str | Path | None = None,
-) -> list[ExperimentResult]:
-    """Library convenience: like ``runner.run_all`` but parallel.
-
-    Returns just the results (canonical order); use :func:`run_report`
-    when the run-level telemetry is wanted too.
-    """
-    return run_report(preset, only=only, jobs=jobs, cache_dir=cache_dir).results

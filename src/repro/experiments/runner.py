@@ -90,21 +90,6 @@ def select_modules(only: list[str] | None = None) -> list[ModuleType]:
     return [module for module in ALL_MODULES if module.EXPERIMENT_ID in wanted]
 
 
-def run_all(
-    preset: RunPreset | None = None, only: list[str] | None = None
-) -> list[ExperimentResult]:
-    """Run the selected experiments (all by default), serially.
-
-    The serial path of :func:`~repro.experiments.parallel.run_report`:
-    every returned result carries a metrics snapshot (the experiment's
-    own when it attached one, else a minimal run-shape fallback), and
-    unknown ids in ``only`` raise :class:`ConfigurationError`.  For
-    multi-process campaigns and trace caching see
-    :mod:`repro.experiments.parallel`.
-    """
-    return run_report(preset, only=only).results
-
-
 def write_metrics(results: list[ExperimentResult], path: str) -> None:
     """Serialize every result's metrics snapshot to one JSON document.
 

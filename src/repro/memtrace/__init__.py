@@ -22,7 +22,6 @@ from repro.memtrace.cache import ArtifactCache, artifact_key
 from repro.memtrace.interleave import interleave_round_robin
 from repro.memtrace.io import load_arrays, load_trace, save_arrays, save_trace
 from repro.memtrace.stats import (
-    footprint_bytes,
     reuse_times,
     unique_lines,
     working_set_bytes,
@@ -49,7 +48,6 @@ __all__ = [
     "load_trace",
     "save_arrays",
     "load_arrays",
-    "footprint_bytes",
     "reuse_times",
     "unique_lines",
     "working_set_bytes",

@@ -1,18 +1,17 @@
-"""Footprint, working-set, and reuse statistics over traces.
+"""Working-set and reuse statistics over traces.
 
-These are the measurements behind Figures 4 and 5 of the paper (allocated
-footprint and accessed working set as core/thread count scales) and the raw
-input to the analytic miss-curve engine (reuse times).
+These are the measurements behind Figure 5 of the paper (accessed working
+set as core/thread count scales) and the raw input to the analytic
+miss-curve engine (reuse times).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._units import KiB
 from repro.cachesim.indexing import stable_group_order
 from repro.errors import TraceError
-from repro.memtrace.trace import Segment, Trace
+from repro.memtrace.trace import Trace
 
 
 def unique_lines(trace: Trace, block_size: int = 64) -> int:
@@ -28,23 +27,6 @@ def working_set_bytes(trace: Trace, block_size: int = 64) -> int:
     This is the paper's Figure 5 metric: anything touched at least once.
     """
     return unique_lines(trace, block_size) * block_size
-
-
-def segment_working_sets(trace: Trace, block_size: int = 64) -> dict[Segment, int]:
-    """Working-set bytes per software segment."""
-    return {
-        seg: working_set_bytes(trace.only_segment(seg), block_size)
-        for seg in Segment
-    }
-
-
-def footprint_bytes(trace: Trace, page_size: int = 4 * KiB) -> int:
-    """Touched memory at page granularity — a proxy for allocated footprint.
-
-    The paper's Figure 4 reports allocator-level footprint; at trace level
-    the closest observable quantity is the set of touched pages.
-    """
-    return unique_lines(trace, page_size) * page_size
 
 
 def reuse_times(line_addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,19 +69,3 @@ def cold_fraction(trace: Trace, block_size: int = 64) -> float:
         raise TraceError("cold_fraction of an empty trace is undefined")
     __, is_cold = reuse_times(trace.lines(block_size))
     return float(np.count_nonzero(is_cold)) / len(trace)
-
-
-def working_set_scaling(
-    traces_by_threads: dict[int, Trace],
-    segment: Segment,
-    block_size: int = 64,
-) -> dict[int, int]:
-    """Working-set bytes of one segment as the thread count scales.
-
-    ``traces_by_threads`` maps thread count -> interleaved trace; this is the
-    data series of the paper's Figure 5.
-    """
-    return {
-        n: working_set_bytes(trace.only_segment(segment), block_size)
-        for n, trace in sorted(traces_by_threads.items())
-    }

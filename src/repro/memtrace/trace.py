@@ -111,28 +111,6 @@ class Trace:
         )
 
     @classmethod
-    def from_records(
-        cls,
-        records: Sequence[tuple[int, AccessKind, Segment, int]],
-        instruction_count: int = 0,
-    ) -> "Trace":
-        """Build a trace from ``(addr, kind, segment, thread)`` tuples.
-
-        Convenient for tests and small hand-written traces; generators should
-        build the numpy arrays directly.
-        """
-        if not records:
-            return cls.empty()
-        addr, kind, segment, thread = zip(*records)
-        return cls(
-            addr=np.asarray(addr, np.uint64),
-            kind=np.asarray(kind, np.uint8),
-            segment=np.asarray(segment, np.uint8),
-            thread=np.asarray(thread, np.uint16),
-            instruction_count=instruction_count,
-        )
-
-    @classmethod
     def concatenate(cls, traces: Sequence["Trace"]) -> "Trace":
         """Concatenate traces back to back, summing instruction counts."""
         traces = [t for t in traces if len(t)]

@@ -20,7 +20,6 @@ from repro.search.indexer import IndexShard, InvertedIndexBuilder
 from repro.search.latency import LatencyAccumulator, QueryLatencyModel
 from repro.search.faults import FaultInjector, FaultSpec, SimulatedClock
 from repro.search.policies import HedgePolicy, RetryPolicy, ServingPolicy
-from repro.search.serialization import shard_from_bytes, shard_to_bytes
 from repro.search.simmem import SimulatedMemory, TraceRecorder
 from repro.search.querygen import QueryGenerator, QueryGeneratorConfig
 from repro.search.leaf import LeafServer, SearchHit
@@ -38,7 +37,6 @@ from repro.search.loadgen import (
     LoadReport,
     poisson_arrival_times_ms,
     run_open_loop,
-    trace_arrival_times_ms,
 )
 from repro.search.cluster import ClusterStats, SearchCluster
 
@@ -65,8 +63,6 @@ __all__ = [
     "RetryPolicy",
     "HedgePolicy",
     "ServingPolicy",
-    "shard_to_bytes",
-    "shard_from_bytes",
     "QueryGenerator",
     "QueryGeneratorConfig",
     "LeafServer",
@@ -83,7 +79,6 @@ __all__ = [
     "PoolStats",
     "LoadReport",
     "poisson_arrival_times_ms",
-    "trace_arrival_times_ms",
     "run_open_loop",
     "ClusterStats",
     "SearchCluster",

@@ -84,8 +84,15 @@ class QueryLatencyModel:
     overhead_ms: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.base_service_ms <= 0 or self.overhead_ms < 0:
-            raise ConfigurationError("invalid latency parameters")
+        if not (math.isfinite(self.base_service_ms) and self.base_service_ms > 0):
+            raise ConfigurationError(
+                f"base_service_ms must be positive and finite, "
+                f"got {self.base_service_ms}"
+            )
+        if not (math.isfinite(self.overhead_ms) and self.overhead_ms >= 0):
+            raise ConfigurationError(
+                f"overhead_ms must be finite and >= 0, got {self.overhead_ms}"
+            )
         if self.fanout < 1:
             raise ConfigurationError("fanout must be >= 1")
 
@@ -97,8 +104,11 @@ class QueryLatencyModel:
         A design serving 1.27x the QPS per leaf (the paper's combined
         design) processes each query 1.27x faster.
         """
-        if relative_throughput <= 0:
-            raise ConfigurationError("relative_throughput must be positive")
+        if not (math.isfinite(relative_throughput) and relative_throughput > 0):
+            raise ConfigurationError(
+                "relative_throughput must be positive and finite, "
+                f"got {relative_throughput}"
+            )
         return self.base_service_ms / relative_throughput
 
     def leaf_quantile_ms(

@@ -5,10 +5,10 @@ is *closed-loop*: the simulated client waits for each page before
 issuing the next query, so the system can never be offered more load
 than it drains — overload is structurally invisible, which is exactly
 the blind spot coordinated omission describes.  This module generates
-**open-loop** arrivals: the schedule is fixed up front (Poisson, or a
-recorded trace), queries arrive whether or not their predecessors
-finished, queues grow when the servers fall behind, and the measured
-p50/p99/p999 include every millisecond a query spent waiting.
+**open-loop** arrivals: the Poisson schedule is fixed up front, queries
+arrive whether or not their predecessors finished, queues grow when the
+servers fall behind, and the measured p50/p99/p999 include every
+millisecond a query spent waiting.
 
 Usage::
 
@@ -47,37 +47,15 @@ def poisson_arrival_times_ms(
     Units: the returned times (and ``start_ms``) are milliseconds of
     simulated time.
     """
-    if qps <= 0:
-        raise ConfigurationError(f"qps must be positive, got {qps}")
+    if not (math.isfinite(qps) and qps > 0):
+        raise ConfigurationError(f"qps must be positive and finite, got {qps}")
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    if start_ms < 0:
-        raise ConfigurationError(f"start_ms must be >= 0, got {start_ms}")
+    if not (math.isfinite(start_ms) and start_ms >= 0):
+        raise ConfigurationError(f"start_ms must be finite and >= 0, got {start_ms}")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1000.0 / qps, size=count)
     return [float(t) for t in (start_ms + np.cumsum(gaps))]
-
-
-def trace_arrival_times_ms(
-    inter_arrival_ms: Sequence[float], start_ms: float = 0.0
-) -> list[float]:
-    """Arrival times replayed from recorded inter-arrival gaps.
-
-    Units: ``inter_arrival_ms`` gaps and ``start_ms`` are milliseconds
-    of simulated time; gaps must be >= 0 (bursts are legitimate).
-    """
-    if not len(inter_arrival_ms):
-        raise ConfigurationError("need at least one inter-arrival gap")
-    arrivals: list[float] = []
-    now_ms = float(start_ms)
-    for gap_ms in inter_arrival_ms:
-        if gap_ms < 0:
-            raise ConfigurationError(
-                f"inter-arrival gaps must be >= 0, got {gap_ms}"
-            )
-        now_ms += float(gap_ms)
-        arrivals.append(now_ms)
-    return arrivals
 
 
 @dataclass

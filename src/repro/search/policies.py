@@ -12,6 +12,7 @@ policy object stays reusable across runs and trees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -36,8 +37,10 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_ms < 0:
-            raise ConfigurationError(f"backoff_ms must be >= 0, got {self.backoff_ms}")
+        if not (math.isfinite(self.backoff_ms) and self.backoff_ms >= 0):
+            raise ConfigurationError(
+                f"backoff_ms must be finite and >= 0, got {self.backoff_ms}"
+            )
 
     def as_tags(self) -> dict[str, object]:
         """Span tags describing this policy (``retry_`` prefixed)."""
@@ -62,8 +65,10 @@ class HedgePolicy:
     after_ms: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.after_ms <= 0:
-            raise ConfigurationError(f"after_ms must be positive, got {self.after_ms}")
+        if not (math.isfinite(self.after_ms) and self.after_ms > 0):
+            raise ConfigurationError(
+                f"after_ms must be positive and finite, got {self.after_ms}"
+            )
 
     def as_tags(self) -> dict[str, object]:
         """Span tags describing this policy (``hedge_`` prefixed)."""
@@ -82,9 +87,9 @@ class ServingPolicy:
     overhead_ms: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.overhead_ms < 0:
+        if not (math.isfinite(self.overhead_ms) and self.overhead_ms >= 0):
             raise ConfigurationError(
-                f"overhead_ms must be >= 0, got {self.overhead_ms}"
+                f"overhead_ms must be finite and >= 0, got {self.overhead_ms}"
             )
 
     def as_tags(self) -> dict[str, object]:

@@ -66,7 +66,3 @@ class QueryGenerator:
             raise ConfigurationError(f"count must be >= 0, got {count}")
         picks = self._query_sampler.sample(count)
         return [self._pool[int(p)] for p in picks]
-
-    def pool_query(self, index: int) -> list[int]:
-        """The ``index``-th distinct query (by popularity rank)."""
-        return list(self._pool[index])

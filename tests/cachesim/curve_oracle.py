@@ -10,8 +10,8 @@ closed form, which is what makes it the reference: the differential suite
 ``MissRatioCurve`` reproduces its footprints, windows, hit rates, masks and
 miss counts bit for bit, fresh and through chains of ``filtered``.
 
-The capacity searches (``windows_for_capacities`` and friends) are
-inherited: they only read ``footprint``, which is what differs.
+The capacity search (``window_for_capacity``) is inherited: it only
+reads ``footprint``, which is what differs.
 """
 
 from __future__ import annotations

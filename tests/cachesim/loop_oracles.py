@@ -2,8 +2,7 @@
 
 Each function here is the scalar form of a computation the library runs
 vectorized: the ``SetAssociativeCache.access`` loop behind
-``SetAssociativeCache.simulate``, the two-level TLB loop behind
-``repro.cpu.tlb.simulate_tlb``, the scalar bisection behind
+``repro.cachesim.fastsim.fast_lru_hits``, the scalar bisection behind
 ``repro.cachesim.composition.solve_windows``, and the Mattson
 stack-distance loops behind ``repro.cachesim.fastsim.fast_stack_distances``
 and ``fast_lru_hits_ladder``.  They are slow and obviously sequential,
@@ -18,8 +17,6 @@ import numpy as np
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.cachesim.composition import StreamComponent
 from repro.cachesim.mattson import COLD
-from repro.cpu.tlb import TlbConfig
-from repro.memtrace.trace import Trace
 
 
 def access_hits(cache: SetAssociativeCache, lines: np.ndarray) -> np.ndarray:
@@ -30,34 +27,6 @@ def access_hits(cache: SetAssociativeCache, lines: np.ndarray) -> np.ndarray:
 def lru_hits(geometry: CacheGeometry, lines: np.ndarray) -> np.ndarray:
     """Hit mask of a cold LRU cache of ``geometry``, access by access."""
     return access_hits(SetAssociativeCache(geometry), lines)
-
-
-def tlb_misses(trace: Trace, config: TlbConfig) -> tuple[int, int]:
-    """(L1 misses, STLB misses) of the two-level TLB, access by access.
-
-    Both levels are fully-associative LRU caches of page numbers; the STLB
-    sees only the L1 misses.
-    """
-
-    def level(entries: int) -> SetAssociativeCache:
-        return SetAssociativeCache(
-            CacheGeometry.fully_associative(
-                entries * config.page_size, config.page_size
-            )
-        )
-
-    l1 = level(config.l1_entries)
-    stlb = level(config.stlb_entries)
-    shift = config.page_size.bit_length() - 1
-    l1_misses = 0
-    stlb_misses = 0
-    for page in (trace.addr >> np.uint64(shift)).tolist():
-        if l1.access(page)[0]:
-            continue
-        l1_misses += 1
-        if not stlb.access(page)[0]:
-            stlb_misses += 1
-    return l1_misses, stlb_misses
 
 
 def solve_window(components: list[StreamComponent], capacity_lines: int) -> float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro._units import KiB, MiB
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.errors import ConfigurationError
+from tests.cachesim.loop_oracles import access_hits
 
 
 class TestCacheGeometry:
@@ -114,19 +115,10 @@ class TestSetAssociativeCache:
         cache.flush()
         assert cache.resident_lines == 0
 
-    def test_simulate_matches_access(self):
-        rng = np.random.default_rng(0)
-        lines = rng.integers(0, 200, 3000)
-        a = self.cache(size=2048, assoc=4)
-        b = self.cache(size=2048, assoc=4)
-        bulk = a.simulate(lines)
-        single = np.array([b.access(int(line))[0] for line in lines])
-        assert (bulk == single).all()
-
     def test_resident_never_exceeds_capacity(self):
         cache = self.cache(size=1024, assoc=2)
         rng = np.random.default_rng(1)
-        cache.simulate(rng.integers(0, 1000, 5000))
+        access_hits(cache, rng.integers(0, 1000, 5000))
         assert cache.resident_lines <= cache.geometry.capacity_lines
 
     @settings(max_examples=20)
@@ -161,5 +153,5 @@ class TestSetAssociativeCache:
             cache = SetAssociativeCache(
                 CacheGeometry.fully_associative(capacity_lines * 64)
             )
-            hits.append(cache.simulate(lines).sum())
+            hits.append(access_hits(cache, lines).sum())
         assert hits == sorted(hits)

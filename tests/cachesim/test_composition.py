@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
+from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.composition import (
     CompositeCache,
     StreamComponent,
     merge_streams_by_rate,
 )
 from repro.errors import ConfigurationError, TraceError
+from tests.cachesim.loop_oracles import lru_hits
 
 
 def zipf_stream(n, pool, a=1.3, seed=0):
@@ -145,8 +146,7 @@ class TestCompositeCache:
         merged[~tags] = a_lines + 10_000_000
         merged[tags] = b_lines + 20_000_000
         capacity = 256
-        cache = SetAssociativeCache(CacheGeometry.fully_associative(capacity * 64))
-        hits = cache.simulate(merged)
+        hits = lru_hits(CacheGeometry.fully_associative(capacity * 64), merged)
         true_a = hits[~tags].mean()
         true_b = hits[tags].mean()
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.cache import CacheGeometry
-from repro.cachesim.directmapped import direct_mapped_hit_rate, simulate_direct_mapped
+from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.errors import ConfigurationError
 from tests.cachesim.loop_oracles import lru_hits
 
@@ -32,14 +32,6 @@ class TestDirectMapped:
     def test_rejects_bad_sets(self):
         with pytest.raises(ConfigurationError):
             simulate_direct_mapped(np.array([1]), 0)
-
-    def test_hit_rate_helper(self):
-        rate = direct_mapped_hit_rate(np.array([5, 5, 5, 6]), 16)
-        assert rate == pytest.approx(0.5)
-
-    def test_hit_rate_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            direct_mapped_hit_rate(np.empty(0, np.int64), 16)
 
     @settings(max_examples=25)
     @given(

@@ -178,8 +178,3 @@ class TestAnalyticEngine:
         misses = [sweep[c].total_misses for c in capacities]
         assert misses == sorted(misses, reverse=True)
 
-    def test_l3_miss_stream_shrinks_with_capacity(self, trace, config):
-        result = analytic_hierarchy(trace, config.scaled(1 / 64))
-        small_lines, __, __ = result.l3_miss_stream(32 * KiB)
-        large_lines, __, __ = result.l3_miss_stream(512 * KiB)
-        assert len(large_lines) <= len(small_lines)

@@ -24,6 +24,7 @@ from repro.cachesim.composition import CompositeCache, StreamComponent
 from repro.cachesim.directmapped import simulate_direct_mapped
 from repro.cachesim.misscurve import MissRatioCurve
 from repro.core.l4cache import L4Cache, L4Config
+from repro.core.optimizer import SensitivityScenario
 from repro.errors import ConfigurationError
 from repro.experiments import fig14
 from repro.experiments.common import RunPreset
@@ -278,7 +279,11 @@ class TestMemo:
     def test_fig14_grid_builds_one_demand(self, monkeypatch):
         evaluator = fig14.evaluator(RunPreset.quick())
         builds = count_builds(monkeypatch)
-        evaluations = evaluator.sweep()
+        evaluations = [
+            evaluator.evaluate(scenario, mib * MiB)
+            for scenario in SensitivityScenario.all_scenarios()
+            for mib in fig14.L4_SIZES_MIB
+        ]
         assert len(evaluations) == 20
         assert len(builds) == 1
 

@@ -88,8 +88,8 @@ class TestHitRates:
         rng = np.random.default_rng(1)
         lines = (rng.zipf(1.3, 5000) % 1000).astype(np.int64)
         curve = MissRatioCurve(lines)
-        rates = curve.hit_rates([2, 8, 32, 128, 512, 2048])
-        assert (np.diff(rates) >= 0).all()
+        rates = [curve.hit_rate(c) for c in (2, 8, 32, 128, 512, 2048)]
+        assert rates == sorted(rates)
 
     def test_close_to_exact_mattson(self):
         """HOTL approximation vs exact stack distances on a Zipf stream."""
@@ -97,7 +97,8 @@ class TestHitRates:
         lines = (rng.zipf(1.25, 20_000) % 4000).astype(np.int64)
         capacities = [16, 64, 256, 1024]
         exact = hit_rate_for_capacities(lines, capacities)
-        approx = MissRatioCurve(lines).hit_rates(capacities)
+        curve = MissRatioCurve(lines)
+        approx = np.array([curve.hit_rate(c) for c in capacities])
         assert np.abs(exact - approx).max() < 0.03
 
     def test_close_to_exact_on_sequential_runs(self):
@@ -107,7 +108,8 @@ class TestHitRates:
         lines = np.concatenate([np.arange(s, s + 20) for s in starts])
         capacities = [64, 1024, 16384]
         exact = hit_rate_for_capacities(lines, capacities)
-        approx = MissRatioCurve(lines).hit_rates(capacities)
+        curve = MissRatioCurve(lines)
+        approx = np.array([curve.hit_rate(c) for c in capacities])
         assert np.abs(exact - approx).max() < 0.05
 
     def test_hit_mask_consistent_with_rate(self):
@@ -166,9 +168,6 @@ class TestCompactStorage:
         released = MissRatioCurve(lines)
         released.release_positions()
         capacities = [1, 16, 256, 2048, 10_000]
-        assert released.hit_rates(capacities).tolist() == fresh.hit_rates(
-            capacities
-        ).tolist()
         for capacity in capacities:
             assert released.hit_rate(capacity) == fresh.hit_rate(capacity)
             assert released.miss_count(capacity) == fresh.miss_count(capacity)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
+from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.opt import NEVER, next_use_indices, opt_hit_rate, simulate_opt
 from repro.errors import TraceError
+from tests.cachesim.loop_oracles import lru_hits
 
 
 class TestNextUse:
@@ -36,9 +37,7 @@ class TestSimulateOpt:
         rng = np.random.default_rng(0)
         lines = (rng.zipf(1.3, 8000) % 900).astype(np.int64)
         for capacity in (8, 32, 128):
-            lru = SetAssociativeCache(
-                CacheGeometry.fully_associative(capacity * 64)
-            ).simulate(lines)
+            lru = lru_hits(CacheGeometry.fully_associative(capacity * 64), lines)
             opt = simulate_opt(lines, capacity)
             assert opt.sum() >= lru.sum()
 
@@ -70,7 +69,5 @@ class TestSimulateOpt:
     )
     def test_opt_dominates_lru_property(self, values, capacity):
         lines = np.asarray(values, np.int64)
-        lru = SetAssociativeCache(
-            CacheGeometry.fully_associative(capacity * 64)
-        ).simulate(lines)
+        lru = lru_hits(CacheGeometry.fully_associative(capacity * 64), lines)
         assert simulate_opt(lines, capacity).sum() >= lru.sum()

@@ -6,6 +6,7 @@ import pytest
 from repro._units import KiB
 from repro.cachesim.cache import CacheGeometry, SetAssociativeCache
 from repro.errors import ConfigurationError
+from tests.cachesim.loop_oracles import access_hits
 
 
 def zipf_lines(n=30_000, pool=4000, seed=0):
@@ -39,19 +40,19 @@ class TestReplacementPolicies:
         lines = zipf_lines(5000)
         a = SetAssociativeCache(CacheGeometry(16 * KiB, 4), "random", seed=1)
         b = SetAssociativeCache(CacheGeometry(16 * KiB, 4), "random", seed=1)
-        assert (a.simulate(lines) == b.simulate(lines)).all()
+        assert (access_hits(a, lines) == access_hits(b, lines)).all()
 
     def test_lru_beats_fifo_on_zipf(self):
         """Recency matters for skewed reuse: LRU >= FIFO on Zipf streams."""
         lines = zipf_lines()
         geometry = CacheGeometry(16 * KiB, 8)
-        lru = SetAssociativeCache(geometry, "lru").simulate(lines).mean()
-        fifo = SetAssociativeCache(geometry, "fifo").simulate(lines).mean()
+        lru = access_hits(SetAssociativeCache(geometry, "lru"), lines).mean()
+        fifo = access_hits(SetAssociativeCache(geometry, "fifo"), lines).mean()
         assert lru >= fifo - 0.01
 
     def test_random_between_reasonable_bounds(self):
         lines = zipf_lines()
         geometry = CacheGeometry(16 * KiB, 8)
-        lru = SetAssociativeCache(geometry, "lru").simulate(lines).mean()
-        rand = SetAssociativeCache(geometry, "random").simulate(lines).mean()
+        lru = access_hits(SetAssociativeCache(geometry, "lru"), lines).mean()
+        rand = access_hits(SetAssociativeCache(geometry, "random"), lines).mean()
         assert lru - 0.15 < rand <= lru + 0.02

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from repro.cachesim.mattson import hit_rate_for_capacities
 from repro.cachesim.shards import (
-    DISTANCE_EDGES,
     ShardsEnsemble,
     ShardsEstimator,
-    align_to_edges,
     curve_drift,
     hash_unit,
-    shards_hit_rates,
 )
 from repro.errors import ConfigurationError, TraceError
 
@@ -25,6 +22,16 @@ line_streams = st.lists(
 def zipf_lines(n=60_000, pool=6000, a=1.2, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.zipf(a, n) % pool).astype(np.int64)
+
+
+def estimated_hit_rates(lines, caps, rate, seed=0, replicas=1):
+    """Hit rates at ``caps`` of one estimator fed the whole stream."""
+    if replicas > 1:
+        estimator = ShardsEnsemble(rate=rate, replicas=replicas, seed=seed)
+    else:
+        estimator = ShardsEstimator(rate=rate, seed=seed)
+    estimator.feed(lines)
+    return estimator.curve().hit_rates(caps)
 
 
 class TestHashUnit:
@@ -52,7 +59,7 @@ class TestExactness:
         """
         caps = np.array([1, 2, 3, 5, 17, 64, 128], np.int64)
         exact = hit_rate_for_capacities(lines, caps)
-        estimated = shards_hit_rates(lines, caps, rate=1.0)
+        estimated = estimated_hit_rates(lines, caps, rate=1.0)
         assert np.allclose(estimated, exact, atol=1e-12)
 
     @given(line_streams, st.sampled_from([0.25, 0.5, 0.9]))
@@ -61,16 +68,14 @@ class TestExactness:
         R=1 limit is exact (previous test); here: the estimator runs at
         any rate without crashing and stays a valid hit rate."""
         caps = np.array([4, 32, 128], np.int64)
-        estimated = shards_hit_rates(lines, caps, rate=rate)
+        estimated = estimated_hit_rates(lines, caps, rate=rate)
         assert ((0.0 <= estimated) & (estimated <= 1.0)).all()
 
     def test_accuracy_on_zipf_stream(self):
         lines = zipf_lines()
         caps = np.array([256, 512, 1024, 2048, 4096], np.int64)
         exact = hit_rate_for_capacities(lines, caps)
-        estimated = shards_hit_rates(
-            lines, caps, rate=0.05, seed=1, replicas=4
-        )
+        estimated = estimated_hit_rates(lines, caps, rate=0.05, seed=1, replicas=4)
         assert np.abs(estimated - exact).max() < 0.03
 
 
@@ -184,7 +189,7 @@ class TestEnsemble:
         def worst(replicas):
             errors = []
             for seed in range(4):
-                estimated = shards_hit_rates(
+                estimated = estimated_hit_rates(
                     lines, caps, rate=0.02, seed=10 * seed, replicas=replicas
                 )
                 errors.append(np.abs(estimated - exact).max())
@@ -206,8 +211,3 @@ class TestDriftAndEdges:
         assert drift_ab > 0.1
         with pytest.raises(ConfigurationError):
             curve_drift(a.curve(), b.curve(), np.array([], np.int64))
-
-    def test_align_to_edges(self):
-        aligned = align_to_edges(np.array([1, 100, 129, 10**7], np.int64))
-        assert (aligned >= np.array([1, 100, 129, 10**7])).all()
-        assert set(aligned.tolist()) <= set(np.asarray(DISTANCE_EDGES).tolist())

@@ -23,15 +23,6 @@ class TestAreaModel:
         model = AreaModel()
         assert model.cores_for_area(117.0, 2.5) == 18.0
 
-    def test_slack_positive_after_quantization(self):
-        model = AreaModel()
-        slack = model.slack_mib(117.0, 23, 1.0)
-        assert slack == pytest.approx(117 - 23 * 5.0)
-
-    def test_slack_rejects_overbudget(self):
-        with pytest.raises(ConfigurationError):
-            AreaModel().slack_mib(100.0, 30, 1.0)
-
     def test_total_area(self):
         assert AreaModel().total_area_mib(10, 20.0) == 60.0
 

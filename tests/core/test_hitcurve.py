@@ -3,7 +3,7 @@
 import pytest
 
 from repro._units import MiB
-from repro.core.hitcurve import ComposedHitCurve, LogLinearHitCurve
+from repro.core.hitcurve import LogLinearHitCurve
 from repro.errors import ConfigurationError
 
 
@@ -49,19 +49,3 @@ class TestLogLinear:
             LogLinearHitCurve(MiB, 0.5, 0.1, curvature=-1)
         with pytest.raises(ConfigurationError):
             LogLinearHitCurve(MiB, 0.5, 0.1)(0)
-
-
-class TestComposedHitCurve:
-    def test_wraps_hierarchy(self):
-        class FakeHierarchy:
-            block_size = 64
-
-            def l3_hit_rate(self, capacity):
-                return min(0.9, capacity / (1 << 20))
-
-        curve = ComposedHitCurve(FakeHierarchy(), scale=1 / 4)
-        assert curve(1 << 20) == pytest.approx((1 << 18) / (1 << 20))
-
-    def test_scale_validated(self):
-        with pytest.raises(ConfigurationError):
-            ComposedHitCurve(object(), scale=0)

@@ -105,12 +105,6 @@ class TestSimulation:
         total = sum(result.segment_mpki(s, 10_000) for s in Segment)
         assert total == pytest.approx(result.mpki(10_000))
 
-    def test_capacity_sweep(self):
-        lines, segments = demand_stream(n=5000)
-        cache = L4Cache(L4Config())
-        sweep = cache.capacity_sweep(lines, segments, [MiB, 4 * MiB])
-        assert sweep[MiB].hit_rate <= sweep[4 * MiB].hit_rate
-
     def test_supplied_curve_serves_every_capacity(self):
         lines, segments = demand_stream(n=5000)
         curve = MissRatioCurve(lines)

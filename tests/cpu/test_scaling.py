@@ -17,10 +17,6 @@ class TestCoreScaling:
         qps = model.normalized_qps(72)
         assert 8.0 < qps <= 9.0  # ideal would be 9.0
 
-    def test_scaling_exponent_near_one(self):
-        model = CoreScalingModel()
-        assert model.scaling_exponent(8, 72) > 0.95
-
     def test_efficiency_never_increases(self):
         model = CoreScalingModel()
         effs = [model.efficiency(n) for n in (8, 16, 32, 64)]
@@ -36,5 +32,3 @@ class TestCoreScaling:
             CoreScalingModel(loss_per_core=0.5)
         with pytest.raises(ConfigurationError):
             CoreScalingModel().normalized_qps(0)
-        with pytest.raises(ConfigurationError):
-            CoreScalingModel().scaling_exponent(8, 8)

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.experiments.common import RunPreset
-from repro.experiments.parallel import run_parallel, run_report
+from repro.experiments.parallel import run_report
 
 _CHEAP_IDS = ["table2", "fig4", "fig8"]
 
@@ -89,7 +89,3 @@ class TestCachedRun:
         assert warm.cache_stats()["misses"] == 0
         assert warm.cache_stats()["hits"] == cold.cache_stats()["misses"]
         assert warm.results[0].render() == cold.results[0].render()
-
-    def test_run_parallel_returns_results(self):
-        results = run_parallel(RunPreset.quick(), only=["table2"], jobs=2)
-        assert [r.experiment_id for r in results] == ["table2"]

@@ -5,18 +5,19 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.experiments.common import ExperimentResult
+from repro.experiments.parallel import run_report
 
 
 class TestRunAll:
     def test_only_filter(self):
-        results = runner.run_all(only=["table2"])
+        results = run_report(only=["table2"]).results
         assert len(results) == 1
         assert results[0].experiment_id == "table2"
 
     def test_unknown_only_id_raises(self):
         """Regression: unknown ids were silently dropped (partial runs)."""
         with pytest.raises(ConfigurationError, match="fig99"):
-            runner.run_all(only=["table2", "fig99"])
+            run_report(only=["table2", "fig99"])
 
     def test_select_modules_canonical_order(self):
         modules = runner.select_modules(["fig4", "table2"])

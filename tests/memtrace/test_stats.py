@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from repro.errors import TraceError
 from repro.memtrace.stats import (
     cold_fraction,
-    footprint_bytes,
     reuse_times,
-    segment_working_sets,
     unique_lines,
     working_set_bytes,
-    working_set_scaling,
 )
 from repro.memtrace.trace import AccessKind, Segment, Trace
 
@@ -41,18 +38,6 @@ class TestWorkingSet:
         trace = trace_from_addrs([0, 64, 128])
         assert working_set_bytes(trace) == 192
 
-    def test_footprint_page_granular(self):
-        trace = trace_from_addrs([0, 100, 5000])
-        assert footprint_bytes(trace, page_size=4096) == 2 * 4096
-
-    def test_segment_working_sets(self):
-        a = trace_from_addrs([0, 64], Segment.HEAP)
-        b = trace_from_addrs([1 << 20], Segment.SHARD)
-        merged = Trace.concatenate([a, b])
-        sets = segment_working_sets(merged)
-        assert sets[Segment.HEAP] == 128
-        assert sets[Segment.SHARD] == 64
-        assert sets[Segment.CODE] == 0
 
 
 class TestReuseTimes:
@@ -92,14 +77,3 @@ class TestReuseTimes:
     def test_cold_fraction_empty_raises(self):
         with pytest.raises(TraceError):
             cold_fraction(Trace.empty())
-
-
-class TestWorkingSetScaling:
-    def test_monotone_in_threads(self):
-        traces = {
-            n: trace_from_addrs(list(range(0, n * 640, 64)))
-            for n in (1, 2, 4)
-        }
-        series = working_set_scaling(traces, Segment.HEAP)
-        values = list(series.values())
-        assert values == sorted(values)

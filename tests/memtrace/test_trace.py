@@ -39,12 +39,11 @@ class TestConstruction:
             )
 
     def test_instruction_count_defaults_to_instr_accesses(self):
-        trace = Trace.from_records(
-            [
-                (0, AccessKind.INSTR, Segment.CODE, 0),
-                (64, AccessKind.INSTR, Segment.CODE, 0),
-                (128, AccessKind.LOAD, Segment.HEAP, 0),
-            ]
+        trace = Trace(
+            addr=np.array([0, 64, 128], np.uint64),
+            kind=np.array([AccessKind.INSTR, AccessKind.INSTR, AccessKind.LOAD]),
+            segment=np.array([Segment.CODE, Segment.CODE, Segment.HEAP]),
+            thread=np.zeros(3, np.uint16),
         )
         assert trace.instruction_count == 2
 
@@ -52,9 +51,6 @@ class TestConstruction:
         trace = make_trace(10, instruction_count=1000)
         assert trace.instruction_count == 1000
         assert trace.kilo_instructions == 1.0
-
-    def test_from_records_empty(self):
-        assert len(Trace.from_records([])) == 0
 
     def test_concatenate(self):
         a = make_trace(5, instruction_count=100)
@@ -71,8 +67,11 @@ class TestConstruction:
 
 class TestLines:
     def test_line_addresses(self):
-        trace = Trace.from_records(
-            [(0, AccessKind.LOAD, Segment.HEAP, 0), (65, AccessKind.LOAD, Segment.HEAP, 0)]
+        trace = Trace(
+            addr=np.array([0, 65], np.uint64),
+            kind=np.full(2, AccessKind.LOAD, np.uint8),
+            segment=np.full(2, Segment.HEAP, np.uint8),
+            thread=np.zeros(2, np.uint16),
         )
         assert list(trace.lines(64)) == [0, 1]
 

@@ -73,6 +73,19 @@ class TestQueueing:
         with pytest.raises(ConfigurationError):
             model.service_ms(0.0)
 
+    @pytest.mark.parametrize("field", ["base_service_ms", "overhead_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        """Regression: NaN built a model whose mean latency was NaN."""
+        with pytest.raises(ConfigurationError, match=field):
+            QueryLatencyModel(**{field: value})
+
+    @pytest.mark.parametrize("throughput", [float("nan"), float("inf")])
+    def test_non_finite_throughput_rejected(self, model, throughput):
+        """Regression: NaN gave a NaN service time and inf gave 0 ms."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            model.service_ms(throughput)
+
     def test_nan_utilization_rejected(self, model):
         """Regression: NaN passed the check and the quantile was NaN."""
         with pytest.raises(ConfigurationError):

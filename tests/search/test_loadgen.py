@@ -11,7 +11,6 @@ from repro.search.loadgen import (
     LoadReport,
     poisson_arrival_times_ms,
     run_open_loop,
-    trace_arrival_times_ms,
 )
 from repro.search.policies import RetryPolicy, ServingPolicy
 from repro.search.root import SearchResultPage
@@ -72,15 +71,22 @@ class TestArrivalSchedules:
         offset = poisson_arrival_times_ms(100.0, 10, seed=1, start_ms=50.0)
         assert offset == pytest.approx([t + 50.0 for t in base])
 
-    def test_trace_replay(self):
-        arrivals = trace_arrival_times_ms([5.0, 0.0, 2.5], start_ms=1.0)
-        assert arrivals == [6.0, 6.0, 8.5]
-
-    def test_trace_validation(self):
-        with pytest.raises(ConfigurationError):
-            trace_arrival_times_ms([])
-        with pytest.raises(ConfigurationError):
-            trace_arrival_times_ms([1.0, -0.1])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"qps": float("nan")},
+            {"qps": float("inf")},
+            {"start_ms": float("nan")},
+            {"start_ms": float("inf")},
+        ],
+        ids=["qps-nan", "qps-inf", "start-nan", "start-inf"],
+    )
+    def test_poisson_rejects_non_finite(self, kwargs):
+        """Regression: NaN passed the ``<= 0``/``< 0`` checks, inf qps gave
+        0 ms gaps and inf start_ms gave inf arrivals."""
+        args = {"qps": 100.0, "count": 3, **kwargs}
+        with pytest.raises(ConfigurationError, match="finite"):
+            poisson_arrival_times_ms(**args)
 
 
 class TestLoadReport:

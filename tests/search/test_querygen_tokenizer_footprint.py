@@ -48,10 +48,6 @@ class TestQueryGenerator:
         queries = [tuple(q) for q in generator.generate(5000)]
         assert len(set(queries)) < 1000
 
-    def test_pool_query_stable(self):
-        generator = QueryGenerator(QueryGeneratorConfig(seed=3))
-        assert generator.pool_query(0) == generator.pool_query(0)
-
     def test_count_validated(self):
         with pytest.raises(ConfigurationError):
             QueryGenerator().generate(-1)

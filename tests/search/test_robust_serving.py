@@ -74,6 +74,22 @@ class TestPolicies:
         with pytest.raises(ConfigurationError):
             ServingPolicy(overhead_ms=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_retry_backoff_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError, match="backoff_ms"):
+            RetryPolicy(backoff_ms=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_hedge_after_must_be_finite(self, value):
+        """``hedge=None`` is how a policy says "never hedge"."""
+        with pytest.raises(ConfigurationError, match="after_ms"):
+            HedgePolicy(after_ms=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_serving_overhead_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError, match="overhead_ms"):
+            ServingPolicy(overhead_ms=value)
+
 
 class TestRobustSearch:
     def test_ideal_path_unchanged(self, leaves, term):

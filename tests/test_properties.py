@@ -17,6 +17,7 @@ from repro.cachesim.misscurve import MissRatioCurve
 from repro.cachesim.opt import simulate_opt
 from repro.search.frontend import ResultCache
 from repro.search.root import SearchResultPage
+from tests.cachesim.loop_oracles import access_hits, lru_hits
 
 line_streams = st.lists(
     st.integers(min_value=0, max_value=40), min_size=8, max_size=250
@@ -30,7 +31,8 @@ class TestMissCurveProperties:
         """The footprint approximation tracks exact stack distances."""
         capacities = [1, 2, 4, 8, 16, 64]
         exact = hit_rate_for_capacities(lines, capacities)
-        approx = MissRatioCurve(lines).hit_rates(capacities)
+        curve = MissRatioCurve(lines)
+        approx = np.array([curve.hit_rate(c) for c in capacities])
         assert np.abs(exact - approx).max() <= 0.25  # tiny-stream worst case
         # At full capacity both count every reuse.
         assert approx[-1] == pytest.approx(exact[-1], abs=1e-9)
@@ -64,18 +66,14 @@ class TestPolicyOrderings:
             cache = SetAssociativeCache(
                 CacheGeometry.fully_associative(capacity * 64), replacement=policy
             )
-            assert opt_hits >= cache.simulate(lines).sum()
+            assert opt_hits >= access_hits(cache, lines).sum()
 
     @settings(max_examples=30)
     @given(line_streams)
     def test_lru_inclusion_property(self, lines):
         """LRU's stack property: a hit at capacity C is a hit at C' > C."""
-        small = SetAssociativeCache(
-            CacheGeometry.fully_associative(4 * 64)
-        ).simulate(lines)
-        large = SetAssociativeCache(
-            CacheGeometry.fully_associative(16 * 64)
-        ).simulate(lines)
+        small = lru_hits(CacheGeometry.fully_associative(4 * 64), lines)
+        large = lru_hits(CacheGeometry.fully_associative(16 * 64), lines)
         assert (large | ~small).all()  # small-hit implies large-hit
 
 
