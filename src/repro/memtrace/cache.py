@@ -17,6 +17,11 @@ therefore compute identical keys, and any change to the workload
 parameters or the on-disk layout changes the key (automatic
 invalidation, never staleness).
 
+Entries are :mod:`repro.memtrace.io` bundles, deflated at zlib level 1
+(:data:`~repro.memtrace.io.DEFLATE_LEVEL`).  The level is not part of
+the format or the key: a directory filled when bundles were written at
+numpy's level 6 still reads warm, entry for entry.
+
 Hits, misses, and traffic are recorded as ``repro.cache.*`` counters in
 the cache's :class:`~repro.obs.metrics.MetricsRegistry`; in a parallel
 run each worker's counters are snapshotted and merged by the runner
@@ -49,6 +54,11 @@ if TYPE_CHECKING:  # import cycle: synthetic's generators consult this module
     from repro.memtrace.synthetic import WorkloadConfig
 
 
+#: Infix of a bundle's temporary name while :meth:`ArtifactCache.store`
+#: writes it (``<key>.tmp-<pid>-<thread>.npz``).
+_TMP_MARKER = ".tmp-"
+
+
 def artifact_key(kind: str, **identity) -> str:
     """SHA-256 key of one artifact's full generative identity.
 
@@ -76,11 +86,11 @@ class ArtifactCache:
 
     Concurrent writers are safe, across processes and threads alike:
     each bundle is written to a temporary name of its own (process and
-    thread id) and atomically renamed into place, and identical keys imply identical bytes, so the
-    last rename winning is harmless.  Counter updates take a lock, so
-    the ``repro.cache.*`` totals stay exact under threads, and
-    concurrent loads are safe (:func:`~repro.memtrace.io.load_arrays`
-    serializes bundle reads).
+    thread id) and atomically renamed into place, and identical keys
+    imply identical arrays, so the last rename winning is harmless.
+    Counter updates take a lock, so the ``repro.cache.*`` totals stay
+    exact under threads, and concurrent loads are safe
+    (:func:`~repro.memtrace.io.load_arrays` serializes bundle reads).
     """
 
     def __init__(
@@ -152,7 +162,7 @@ class ArtifactCache:
         # One temporary name per writing thread: two threads of one
         # process may store the same key at once.
         tmp = path.with_name(
-            f"{key}.tmp-{os.getpid()}-{threading.get_ident()}.npz"
+            f"{key}{_TMP_MARKER}{os.getpid()}-{threading.get_ident()}.npz"
         )
         try:
             save_arrays(dict(arrays), tmp, artifact=kind, **metadata)
@@ -173,7 +183,12 @@ class ArtifactCache:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.cache_dir.glob("*.npz"))
+        """Published entries; a killed writer's temporary file is not one."""
+        return sum(
+            1
+            for path in self.cache_dir.glob("*.npz")
+            if _TMP_MARKER not in path.name
+        )
 
     def stats(self) -> dict[str, int]:
         """Current hit/miss/traffic totals (for footers and tests)."""

@@ -72,6 +72,15 @@ def _check_utilization(utilization: float) -> None:
         raise SaturatedQueueError(float(offered))
 
 
+def _check_throughput(relative_throughput: float) -> None:
+    """Reject a throughput ratio that is not positive and finite."""
+    if not (math.isfinite(relative_throughput) and relative_throughput > 0):
+        raise ConfigurationError(
+            "relative_throughput must be positive and finite, "
+            f"got {relative_throughput}"
+        )
+
+
 @dataclass(frozen=True)
 class QueryLatencyModel:
     """Latency of fan-out queries over queueing leaves."""
@@ -104,11 +113,7 @@ class QueryLatencyModel:
         A design serving 1.27x the QPS per leaf (the paper's combined
         design) processes each query 1.27x faster.
         """
-        if not (math.isfinite(relative_throughput) and relative_throughput > 0):
-            raise ConfigurationError(
-                "relative_throughput must be positive and finite, "
-                f"got {relative_throughput}"
-            )
+        _check_throughput(relative_throughput)
         return self.base_service_ms / relative_throughput
 
     def leaf_quantile_ms(
@@ -179,10 +184,13 @@ class QueryLatencyModel:
         returned :class:`Utilization` is clamped to 1.0 with
         ``saturated`` True and ``offered`` preserving the raw ratio —
         no exception.  Only the closed-form quantile helpers refuse a
-        saturated ρ (:class:`~repro.errors.SaturatedQueueError`).
+        saturated ρ (:class:`~repro.errors.SaturatedQueueError`).  A
+        ``relative_throughput`` that is not positive and finite raises
+        :class:`ConfigurationError`, as in :meth:`service_ms`.
         """
         if not offered_load >= 0:
             raise ConfigurationError(f"offered_load must be >= 0, got {offered_load}")
+        _check_throughput(relative_throughput)
         return Utilization(offered_load / relative_throughput)
 
     def tail_within_slo(

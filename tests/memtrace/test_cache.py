@@ -18,6 +18,7 @@ from repro.memtrace.synthetic import (
     generate_trace,
 )
 from repro.memtrace.trace import Segment
+from tests.memtrace.bundle_oracle import GENERATOR_ARRAYS, save_arrays_level6
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -125,6 +126,33 @@ class TestArtifactCache:
         assert stats["hits"] == 1
         assert stats["bytes_written"] > 0
         assert stats["bytes_read"] == stats["bytes_written"]
+
+    def test_len_skips_stale_temp_file(self, cache):
+        """Regression: a killed writer's ``<key>.tmp-<pid>-<tid>.npz`` was
+        counted as an entry."""
+        key = artifact_key("t", seed=5)
+        cache.store(key, "t", {"a": np.arange(10)})
+        cache.path_for(key).with_name(f"{key}.tmp-999-1.npz").write_bytes(b"torn")
+        assert len(cache) == 1
+
+    def test_level6_entry_is_hit(self, cache):
+        """An entry written by ``np.savez_compressed`` (zlib level 6)
+        still loads as a hit with the same arrays."""
+        key = artifact_key("t", seed=6)
+        save_arrays_level6(GENERATOR_ARRAYS, cache.path_for(key), artifact="t")
+        loaded = cache.load(key, "t")
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 0
+        for name, value in GENERATOR_ARRAYS.items():
+            assert loaded[name].tobytes() == np.asarray(value).tobytes()
+
+    def test_object_array_not_published(self, cache):
+        """An unstorable array raises and leaves no entry behind."""
+        from repro.errors import TraceError
+
+        key = artifact_key("t", seed=7)
+        with pytest.raises(TraceError, match="object"):
+            cache.store(key, "t", {"a": np.array([None, 1], dtype=object)})
+        assert list(cache.cache_dir.iterdir()) == []
 
     def test_bad_cache_dir_rejected(self, tmp_path):
         from repro.errors import TraceError

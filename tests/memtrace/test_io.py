@@ -2,6 +2,7 @@
 
 import gc
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.errors import TraceError
 from repro.memtrace.io import load_arrays, load_trace, save_arrays, save_trace
 from repro.memtrace.synthetic import SyntheticWorkload, WorkloadConfig
 from repro.memtrace.trace import Trace
+from tests.memtrace.bundle_oracle import GENERATOR_ARRAYS, save_arrays_level6
 
 
 @pytest.fixture
@@ -126,3 +128,56 @@ class TestArrayBundles:
         monkeypatch.setattr(io_mod, "FORMAT_VERSION", io_mod.FORMAT_VERSION + 1)
         with pytest.raises(TraceError, match="format version"):
             load_arrays(path)
+
+
+class TestDeflatedWriter:
+    @pytest.mark.parametrize("name", sorted(GENERATOR_ARRAYS))
+    def test_exact_bits_and_dtype(self, tmp_path, name):
+        value = np.asarray(GENERATOR_ARRAYS[name])
+        path = save_arrays({name: GENERATOR_ARRAYS[name]}, tmp_path / "b")
+        loaded, __ = load_arrays(path)
+        assert loaded[name].dtype == value.dtype
+        assert loaded[name].shape == value.shape
+        assert loaded[name].tobytes() == value.tobytes()
+
+    def test_strided_and_fortran_inputs(self, tmp_path):
+        strided = np.arange(1000, dtype=np.uint64)[::3]
+        fortran = np.asfortranarray(np.arange(12, dtype=np.int64).reshape(3, 4))
+        path = save_arrays({"s": strided, "f": fortran}, tmp_path / "b")
+        loaded, __ = load_arrays(path)
+        assert (loaded["s"] == strided).all()
+        assert (loaded["f"] == fortran).all()
+
+    def test_members_deflated(self, tmp_path):
+        """Bundles stay compressed: a stored archive would be ~4x larger."""
+        path = save_arrays(GENERATOR_ARRAYS, tmp_path / "b", seed=5)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert {info.filename for info in infos} == {
+            f"{name}.npy" for name in ["header", *GENERATOR_ARRAYS]
+        }
+        assert all(info.compress_type == zipfile.ZIP_DEFLATED for info in infos)
+        heap = next(info for info in infos if info.filename == "HEAP.npy")
+        assert heap.compress_size < heap.file_size / 2
+
+    def test_level6_bundle_loads(self, tmp_path):
+        """A bundle written by ``np.savez_compressed`` reads unchanged."""
+        path = save_arrays_level6(GENERATOR_ARRAYS, tmp_path / "old.npz", seed=5)
+        loaded, metadata = load_arrays(path)
+        assert metadata == {"seed": 5}
+        assert set(loaded) == set(GENERATOR_ARRAYS)
+        for name, value in GENERATOR_ARRAYS.items():
+            value = np.asarray(value)
+            assert loaded[name].dtype == value.dtype
+            assert loaded[name].tobytes() == value.tobytes()
+
+    def test_object_array_rejected(self, tmp_path):
+        """Regression: an object array was pickled into the bundle, which
+        ``load_arrays`` then reported as torn or corrupt."""
+        path = tmp_path / "b.npz"
+        with pytest.raises(TraceError, match="'mixed'.*object"):
+            save_arrays(
+                {"ok": np.arange(3), "mixed": np.array([1, "a", None], dtype=object)},
+                path,
+            )
+        assert not path.exists()

@@ -86,6 +86,18 @@ class TestQueueing:
         with pytest.raises(ConfigurationError, match="finite"):
             model.service_ms(throughput)
 
+    @pytest.mark.parametrize(
+        "throughput", [0.0, float("nan"), float("inf"), -1.0]
+    )
+    def test_load_with_bad_throughput_rejected(self, model, throughput):
+        """Regression: ``utilization_for_load`` divided first, so 0 raised a
+        raw ``ZeroDivisionError``, NaN gave NaN, inf gave 0 and -1 gave
+        -0.5."""
+        with pytest.raises(ConfigurationError, match="relative_throughput"):
+            model.utilization_for_load(0.5, throughput)
+        with pytest.raises(ConfigurationError, match="relative_throughput"):
+            model.tail_within_slo(200.0, 0.5, throughput)
+
     def test_nan_utilization_rejected(self, model):
         """Regression: NaN passed the check and the quantile was NaN."""
         with pytest.raises(ConfigurationError):
